@@ -6,7 +6,7 @@ front end:
 1. **in-process** — ``await service.submit(image)`` sequentially, the
    fastest an external caller could possibly go without a network;
 2. **HTTP sequential** — the same workload through ``SegmentClient`` over a
-   loopback :class:`~repro.serve.http.HttpSegmentationServer` (one
+   loopback :class:`~repro.serve.HttpSegmentationServer` (one
    keep-alive connection, npy bodies both ways);
 3. **HTTP concurrent** — four client threads sharing the server, the shape
    real multi-tenant ingress has.

@@ -49,7 +49,7 @@ def main() -> None:
     )
 
     # 2. Submit wave by wave.  Within a wave the futures come back
-    #    immediately and the micro-batcher coalesces what arrives together;
+    #    immediately and the service coalesces what arrives together;
     #    across waves the content-addressed cache takes over.
     with rgb_service, gray_service:
         print(f"{'request':<10} {'kind':<6} {'fast path':<14} {'segments':>9} {'cached':>7}")
@@ -80,7 +80,7 @@ def main() -> None:
                 f"cache hit rate {cache['hit_rate']:.0%} "
                 f"({cache['hits']} hits / {cache['misses']} misses), "
                 f"p50 latency {latency['p50'] * 1e3:.2f} ms, "
-                f"mean batch size {metrics['batcher']['mean_batch_size']:.1f}"
+                f"mean batch size {metrics['mean_batch_size']:.1f}"
             )
 
 

@@ -153,22 +153,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument(
         "--async", dest="use_async", action="store_true",
-        help="serve through the asyncio front end (priority lanes, per-job "
-        "deadlines, deadline-aware shedding)",
+        help="accepted for compatibility and ignored: every serve mode runs "
+        "the asyncio service (priority lanes, per-job deadlines, "
+        "deadline-aware shedding)",
     )
     srv.add_argument(
         "--priority-field", default="priority",
-        help="JSONL key holding the lane (high/normal/low) for --async jobs",
+        help="JSONL key holding the lane (high/normal/low) of each job",
     )
     srv.add_argument(
         "--default-deadline-ms", type=float, default=None,
-        help="deadline in milliseconds applied to --async jobs that do not "
+        help="deadline in milliseconds applied to jobs that do not "
         "carry their own deadline_ms",
     )
     srv.add_argument(
         "--http", default=None, metavar="HOST:PORT",
         help="serve POST /v1/segment, GET /v1/metrics and GET /healthz over "
-        "HTTP (implies --async; port 0 picks a free port; runs until "
+        "HTTP (port 0 picks a free port; runs until "
         "SIGINT/SIGTERM, then drains in-flight requests before exiting)",
     )
     srv.add_argument(
@@ -182,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--adaptive",
         action=argparse.BooleanOptionalAction,
         default=True,
-        help="adaptive control loop for --async/--http services: re-derive "
+        help="adaptive control loop of the service: re-derive "
         "the micro-batch size and lane weights from live telemetry every "
         "control tick, bounded (--lane-weights are the floors)",
     )
@@ -193,11 +194,11 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument(
         "--lane-weights", default=None, metavar="HIGH:NORMAL:LOW",
         help="batch slots per weighted-drain cycle for the async priority "
-        "lanes, e.g. 4:2:1 (--async/--http)",
+        "lanes, e.g. 4:2:1",
     )
     srv.add_argument(
         "--client-rate", type=float, default=None,
-        help="per-client token-bucket quota in requests/second (--async/--http)",
+        help="per-client token-bucket quota in requests/second",
     )
     srv.add_argument(
         "--client-burst", type=float, default=None,
@@ -466,22 +467,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _serve_cache(args: argparse.Namespace):
-    """Build the cache stack for ``serve``: memory L1, optional disk L2.
-
-    Delegates to :meth:`~repro.serve.WorkerSpec.build_cache` so the
-    sync front end stacks its tiers exactly like the async/fleet workers.
-    """
-    from .serve import WorkerSpec
-
-    return WorkerSpec(
-        cache_entries=args.cache_size,
-        ttl_seconds=args.ttl,
-        use_cache=not args.no_cache,
-        cache_dir=args.cache_dir,
-    ).build_cache()
-
-
 def _parse_lane_weights(text: str) -> dict:
     """``"4:2:1"`` → ``{"high": 4, "normal": 2, "low": 1}``."""
     from .errors import ParameterError
@@ -596,7 +581,7 @@ def _parse_backend_names(raw):
 def _build_worker_spec(args: argparse.Namespace, http_mode: bool):
     """The picklable service recipe shared by every async serve mode.
 
-    Single-process ``--http``, the JSONL/spool ``--async`` drivers and the
+    Single-process ``--http``, the JSONL/spool drivers and the
     ``--workers N`` fleet all construct their service through one
     :class:`~repro.serve.WorkerSpec`, so a fleet worker is configured
     exactly like the single process it replaces.
@@ -731,22 +716,12 @@ def _run_fleet_serve(  # pragma: no cover - driven via subprocess in the CLI tes
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .baselines.registry import get_segmenter
-    from .engine import BatchSegmentationEngine
     from .errors import CacheError
     from .obs import configure_logging
-    from .serve import SegmentationService
-    from .serve import (
-        build_report,
-        iter_jsonl_jobs,
-        iter_spool_jobs,
-        run_jobs,
-        run_jobs_async,
-    )
+    from .serve import build_report, iter_jsonl_jobs, iter_spool_jobs, run_jobs_async
 
     configure_logging(format=args.log_format)
     http_mode = args.http is not None
-    use_async = args.use_async or http_mode
     stdin_mode = args.source == "-"
     if http_mode and args.source is not None:
         print(
@@ -785,38 +760,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
         if http_mode:
             http_host, http_port = _parse_http_address(args.http)
-        if use_async:
-            spec = _build_worker_spec(args, http_mode)
-            theta_used = spec.theta_used
-            if fleet_mode:
-                # Validate the recipe in the parent: a bad --method or an
-                # unwritable --cache-dir must exit 2 here, exactly like the
-                # single-process path — not crash-loop inside the workers.
-                spec.build_service()
-                service = None
-            else:
-                service = spec.build_service()
-        else:
-            kwargs = _segmenter_kwargs(args)
-            theta_used = float(args.theta) if ("thetas" in kwargs or "theta" in kwargs) else None
-            engine = BatchSegmentationEngine(
-                get_segmenter(args.method, **kwargs),
-                use_lut=not args.no_lut,
-                executor=_make_executor(args.executor, args.jobs),
-                backend=(_parse_backend_names(args.backend) or [None])[0],
-            )
-            from .obs import Tracer
-
-            service = SegmentationService(
-                engine,
-                max_batch_size=args.max_batch,
-                max_wait_seconds=args.max_wait,
-                queue_size=args.queue_size,
-                cache=_serve_cache(args),
-                tracer=Tracer(
-                    sample_rate=args.trace_sample_rate, ring_size=args.trace_ring
-                ),
-            )
+        spec = _build_worker_spec(args, http_mode)
+        theta_used = spec.theta_used
+        # In fleet mode this only validates the recipe in the parent: a bad
+        # --method or an unwritable --cache-dir must exit 2 here, exactly
+        # like the single-process path — not crash-loop inside the workers.
+        service = spec.build_service()
     except (ValueError, CacheError) as exc:  # ParameterError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -847,34 +796,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         out_dir = args.out_dir or os.path.join(args.source, "results")
 
-    if use_async:
-
-        async def _drive() -> tuple:
-            async with service:
-                entries = await run_jobs_async(
-                    service,
-                    jobs,
-                    out_dir=out_dir,
-                    default_deadline_ms=args.default_deadline_ms,
-                )
-                report = build_report(
-                    service,
-                    entries,
-                    method=args.method,
-                    parameters={"theta": theta_used, "seed": args.seed},
-                )
-            return entries, report
-
-        entries, report = asyncio.run(_drive())
-    else:
-        with service:
-            entries = run_jobs(service, jobs, out_dir=out_dir)
+    async def _drive() -> tuple:
+        async with service:
+            entries = await run_jobs_async(
+                service,
+                jobs,
+                out_dir=out_dir,
+                default_deadline_ms=args.default_deadline_ms,
+            )
             report = build_report(
                 service,
                 entries,
                 method=args.method,
                 parameters={"theta": theta_used, "seed": args.seed},
             )
+        return entries, report
+
+    entries, report = asyncio.run(_drive())
 
     payload = json.dumps(report, indent=2, sort_keys=True)
     if args.report:

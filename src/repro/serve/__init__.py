@@ -3,17 +3,20 @@
 This subsystem turns the one-shot batch engine into a long-lived service fit
 for request/response traffic:
 
-* :class:`SegmentationService` — bounded ingress queue (backpressure, not
-  OOM), request coalescing through a :class:`MicroBatcher` (flush on batch
-  size or deadline), a content-addressed :class:`ResultCache` in front of the
-  engine (LRU + TTL keyed by image digest + engine-config digest), service
-  metrics (throughput, latency percentiles, cache hit rate, queue depth) and
-  graceful draining shutdown.
-* :class:`AsyncSegmentationService` — the asyncio-native front end over the
-  same engine machinery: ``await submit(image, priority=..., deadline=...,
-  client_id=...)`` with HIGH/NORMAL/LOW priority lanes (weighted draining),
-  per-client token-bucket quotas, deadline-aware admission and shedding
-  (:class:`~repro.errors.DeadlineExceededError`) and graceful ``aclose()``.
+* :class:`AsyncSegmentationService` — the one serving core: ``await
+  submit(image, priority=..., deadline=..., client_id=...)`` over a bounded
+  ingress (backpressure, not OOM) with HIGH/NORMAL/LOW priority lanes
+  (weighted draining), micro-batching (flush on batch size or deadline),
+  coalescing of byte-identical images, a content-addressed
+  :class:`ResultCache` in front of the engine (LRU + TTL keyed by image
+  digest + engine-config digest), per-client token-bucket quotas,
+  deadline-aware admission and shedding
+  (:class:`~repro.errors.DeadlineExceededError`), service metrics
+  (throughput, latency percentiles, cache hit rate, queue depth) and
+  graceful ``aclose()``.
+* :class:`SegmentationService` — the blocking facade over that core for
+  threaded callers: ``submit(image) -> concurrent.futures.Future`` runs the
+  core on a private event-loop thread, so both APIs share one request path.
 * :class:`HttpSegmentationServer` — the stdlib-only asyncio HTTP/1.1 front
   end over the async service (``POST /v1/segment``, ``GET /v1/metrics``,
   ``GET /v1/capabilities``, draining-aware ``GET /healthz``) with every
@@ -44,12 +47,13 @@ for request/response traffic:
   CLI: ``repro-segment serve --http HOST:PORT --workers N [--backend ...]``.
 * the spool job sources behind ``repro-segment serve``: a watched spool
   directory or JSONL job lines (with optional per-job priority and
-  deadline), emitting a ``repro-serve-report/v1`` summary.
+  deadline) fed to the service by :func:`run_jobs_async`, emitting a
+  ``repro-serve-report/v1`` summary.
 
 This module is the serving layer's **only stable import surface**: every
 public name is re-exported here (lazily, via PEP 562, so ``import
-repro.serve`` stays cheap) and the ``repro.serve.<submodule>`` deep paths
-are deprecated shims.  The streaming counterpart on the engine itself is
+repro.serve`` stays cheap) from ``_``-prefixed implementation modules.
+The streaming counterpart on the engine itself is
 :meth:`repro.engine.BatchSegmentationEngine.map_stream`, which flows an
 arbitrarily large dataset through a bounded in-flight window.
 
@@ -78,7 +82,6 @@ _EXPORTS = {
     "AsyncSegmentationService": "_aio",
     "Priority": "_aio",
     "TokenBucket": "_aio",
-    "MicroBatcher": "_batcher",
     "AdaptiveConfig": "_batcher",
     "AdaptiveController": "_batcher",
     "ServeFleet": "_fleet",
@@ -103,7 +106,6 @@ _EXPORTS = {
     "Job": "_spool",
     "iter_spool_jobs": "_spool",
     "iter_jsonl_jobs": "_spool",
-    "run_jobs": "_spool",
     "run_jobs_async": "_spool",
     "build_report": "_spool",
 }
@@ -126,7 +128,7 @@ def __dir__():
 
 if TYPE_CHECKING:  # pragma: no cover - static analysis only
     from ._aio import AsyncSegmentationService, Priority, TokenBucket
-    from ._batcher import AdaptiveConfig, AdaptiveController, MicroBatcher
+    from ._batcher import AdaptiveConfig, AdaptiveController
     from ._cache import (
         CacheStats,
         ResultCache,
@@ -143,11 +145,4 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
     from ._http_client import HttpSegmentResult, SegmentClient
     from ._service import SegmentationService
     from ._shmcache import SharedMemoryResultCache, ShmCacheStats
-    from ._spool import (
-        Job,
-        build_report,
-        iter_jsonl_jobs,
-        iter_spool_jobs,
-        run_jobs,
-        run_jobs_async,
-    )
+    from ._spool import Job, build_report, iter_jsonl_jobs, iter_spool_jobs, run_jobs_async

@@ -1,11 +1,12 @@
-"""Asyncio-native serving front end: priority lanes, deadlines, quotas.
+"""The serving core: priority lanes, deadlines, quotas, batching, caching.
 
-:class:`AsyncSegmentationService` is the ingress tier the ROADMAP's
-"heavy multi-user traffic" north star asks for.  It keeps the exact
-engine/caching machinery of the threaded
-:class:`~repro.serve.service.SegmentationService` but replaces the blocking
-``submit -> Future`` surface with a coroutine and replaces the single FIFO
-queue with a *multi-lane* ingress that knows about request urgency:
+:class:`AsyncSegmentationService` is the one implementation of the request
+path — micro-batching, coalescing of byte-identical images, the cache probe
+and store, binarize-once, scoring and future resolution.  Every front end
+drives it: the HTTP server and the spool driver await it directly, and the
+blocking :class:`~repro.serve.SegmentationService` is a facade that runs it
+on a private event-loop thread.  Its ingress is a *multi-lane* queue that
+knows about request urgency:
 
 * **priority lanes** — every request lands in the HIGH, NORMAL or LOW lane
   (:class:`Priority`).  Batches are assembled by *weighted* draining (default
@@ -24,8 +25,8 @@ queue with a *multi-lane* ingress that knows about request urgency:
   tenant into :class:`~repro.errors.QuotaExceededError` for that tenant
   instead of latency for everyone.
 * **tiered caching** — any ``get``/``put`` cache works, including the
-  :class:`~repro.serve.cache.TieredResultCache` of an in-memory L1 over a
-  persistent :class:`~repro.serve.diskcache.DiskResultCache` L2, so a
+  :class:`~repro.serve.TieredResultCache` of an in-memory L1 over a
+  persistent :class:`~repro.serve.DiskResultCache` L2, so a
   restarted service answers its warm set from disk, bit-identical to cold
   results.
 * **graceful async shutdown** — :meth:`aclose` drains admitted work (or
@@ -68,8 +69,14 @@ from ..metrics.runtime import LatencyRecorder
 from ..obs.log import get_logger
 from ..obs.trace import Trace, Tracer
 from ._batcher import AdaptiveConfig, AdaptiveController
-from ._cache import CacheKey, ResultCache, TileCacheAdapter, config_digest, image_digest
-from ._service import _engine_fingerprint, _segment_image
+from ._cache import (
+    CacheKey,
+    ResultCache,
+    TileCacheAdapter,
+    _engine_fingerprint,
+    config_digest,
+    image_digest,
+)
 
 __all__ = ["Priority", "TokenBucket", "AsyncSegmentationService", "DEFAULT_LANE_WEIGHTS"]
 
@@ -196,6 +203,15 @@ class _AsyncRequest:
         self.stream_id = stream_id
 
 
+def _segment_image(engine: BatchSegmentationEngine, image: np.ndarray):
+    # Module-level so batches stay picklable for process executors; exceptions
+    # are returned, not raised, to keep per-image isolation inside a batch.
+    try:
+        return engine.segment(image)
+    except Exception as exc:  # reprolint: disable=RL004 returned and set on the request future
+        return exc
+
+
 def _score_request(
     engine: BatchSegmentationEngine,
     ground_truth: Optional[np.ndarray],
@@ -205,7 +221,7 @@ def _score_request(
     cache_hit: bool,
     coalesced: bool,
 ) -> PipelineResult:
-    """The per-request evaluation protocol (identical to the sync service)."""
+    """The per-request evaluation protocol: tag the extras, then score."""
     tagged = dataclasses.replace(
         segmentation,
         extras={**segmentation.extras, "cache_hit": cache_hit, "coalesced": coalesced},
@@ -258,8 +274,8 @@ class AsyncSegmentationService:
     cache:
         ``"default"`` (a 256-entry in-memory LRU), ``None``, or any object
         with ``get(key) -> value|None`` and ``put(key, value)`` — e.g. a
-        :class:`~repro.serve.cache.TieredResultCache` over a
-        :class:`~repro.serve.diskcache.DiskResultCache`.
+        :class:`~repro.serve.TieredResultCache` over a
+        :class:`~repro.serve.DiskResultCache`.
     lane_weights:
         Batch slots per weighted-drain cycle for each lane (default 4:2:1).
     client_rate, client_burst:
@@ -273,7 +289,7 @@ class AsyncSegmentationService:
         ``adaptive_config.tick_seconds`` the service re-derives its
         micro-batch flush size and lane drain weights from the EWMA service
         time and per-lane depth/shed telemetry
-        (:class:`~repro.serve.batcher.AdaptiveController`).  The configured
+        (:class:`~repro.serve.AdaptiveController`).  The configured
         ``lane_weights`` become the per-lane floors and ``max_batch_size``
         the default batch-size ceiling — adaptation shrinks and regrows
         batches inside ``[1, max_batch_size]``, never past the configured
@@ -281,7 +297,7 @@ class AsyncSegmentationService:
         ``metrics()["adaptive"]``.
     adaptive_config:
         Overrides the control-loop corridor and cadence
-        (:class:`~repro.serve.batcher.AdaptiveConfig`); when given, its
+        (:class:`~repro.serve.AdaptiveConfig`); when given, its
         ``max_batch_size`` replaces the default configured-value ceiling.
     clock:
         Monotonic time source, injectable for deterministic tests.
@@ -564,11 +580,11 @@ class AsyncSegmentationService:
         cannot (or did not) make it raises
         :class:`~repro.errors.DeadlineExceededError`.  ``client_id`` keys the
         optional per-client quota.  With ``block=True`` (default) a submit
-        that finds every lane slot taken *waits* for space — the same
-        backpressure contract as the sync service — while ``block=False``
-        raises :class:`~repro.errors.ServiceOverloadedError` immediately.
-        Deadline, quota and close checks are never blocking.  The caller's
-        buffer is snapshotted before queueing, exactly like the sync service.
+        that finds every lane slot taken *waits* for space (backpressure),
+        while ``block=False`` raises
+        :class:`~repro.errors.ServiceOverloadedError` immediately.  Deadline,
+        quota and close checks are never blocking.  The caller's buffer is
+        snapshotted before queueing, so it may be reused at once.
 
         ``trace`` threads an externally-owned :class:`~repro.obs.trace.Trace`
         (the HTTP edge's) through the request; without one the service's own
@@ -581,44 +597,24 @@ class AsyncSegmentationService:
         previous frame instead of recomputed — bit-identical results, large
         throughput wins on slowly-changing streams.
         """
-        owned = False
-        if trace is None:
-            trace = self.tracer.begin()
-            owned = trace is not None
-        if not owned:
-            return await self._submit_impl(
-                image,
-                ground_truth,
-                void_mask,
-                priority=priority,
-                deadline=deadline,
-                client_id=client_id,
-                block=block,
-                trace=trace,
-                stream_id=stream_id,
-            )
-        start = trace.clock()
+        future = await self._admit(
+            image,
+            ground_truth,
+            void_mask,
+            priority=priority,
+            deadline=deadline,
+            client_id=client_id,
+            block=block,
+            trace=trace,
+            stream_id=stream_id,
+        )
         try:
-            result = await self._submit_impl(
-                image,
-                ground_truth,
-                void_mask,
-                priority=priority,
-                deadline=deadline,
-                client_id=client_id,
-                block=block,
-                trace=trace,
-                stream_id=stream_id,
-            )
-        except BaseException as exc:
-            trace.annotate(error=type(exc).__name__)
+            return await future
+        except asyncio.CancelledError:
+            self._cancelled += 1
             raise
-        finally:
-            trace.add("service.submit", start, trace.clock())
-            self.tracer.record(trace)
-        return result
 
-    async def _submit_impl(
+    async def _admit(
         self,
         image: np.ndarray,
         ground_truth: Optional[np.ndarray],
@@ -629,46 +625,61 @@ class AsyncSegmentationService:
         client_id: Any,
         block: bool,
         trace: Optional[Trace],
-        stream_id: Optional[str] = None,
-    ) -> PipelineResult:
-        if self._closed:
-            raise ServiceClosedError("cannot submit to a closed service")
-        self._ensure_worker()
-        lane = Priority.coerce(priority)
-        state = self._lanes[lane]
-        if deadline is None:
-            deadline = self.default_deadline
-        self._check_quota(client_id)
+        stream_id: Optional[str],
+    ) -> "asyncio.Future[PipelineResult]":
+        """The admission half of :meth:`submit`; returns the request's future.
 
-        now = self._clock()
-        if deadline is not None and deadline <= 0:
-            state.shed_admission += 1
-            raise DeadlineExceededError("deadline already expired at submission")
-
-        # Snapshot *before* the digest and before any await: the coroutine
-        # suspends at the cache probe and the backpressure wait, and a caller
-        # reusing its buffer in the meantime (the streaming video-frame
-        # pattern) must not divorce the digest from the bytes it describes —
-        # that would poison the content-addressed cache.
-        arr = np.array(image, copy=True)
-        key: CacheKey = (image_digest(arr), self._config_digest)
-        loop = asyncio.get_running_loop()
-
-        # The cache probe yields to the executor, opening a window in which
-        # aclose() could observe empty lanes and let the worker exit before
-        # this request lands in its lane.  The _admitting counter keeps the
-        # worker alive until every submit past the closed check has either
-        # queued or returned.
-        self._admitting += 1
-        if trace is not None:
-            trace.annotate(priority=lane.name.lower())
-            if stream_id is not None:
-                trace.annotate(stream_id=str(stream_id))
+        Every rejection (closed, quota, deadline, full queue) raises from here
+        and leaves ``requests`` uncounted.  A cache hit returns an
+        already-resolved future; a miss returns the queued request's future.
+        Without a caller-owned ``trace`` the service begins its own and
+        records it, with a ``service.submit`` span, once the future settles.
+        """
+        owned_since: Optional[float] = None
+        if trace is None:
+            trace = self.tracer.begin()
+            if trace is not None:
+                owned_since = trace.clock()
         try:
-            if self.cache is not None:
-                cached = await loop.run_in_executor(
-                    None, functools.partial(self._cache_get, key, trace)
-                )
+            if self._closed:
+                raise ServiceClosedError("cannot submit to a closed service")
+            self._ensure_worker()
+            lane = Priority.coerce(priority)
+            state = self._lanes[lane]
+            if deadline is None:
+                deadline = self.default_deadline
+            self._check_quota(client_id)
+
+            now = self._clock()
+            if deadline is not None and deadline <= 0:
+                state.shed_admission += 1
+                raise DeadlineExceededError("deadline already expired at submission")
+
+            # Snapshot *before* the digest and before any await: the coroutine
+            # suspends at the cache probe and the backpressure wait, and a
+            # caller reusing its buffer in the meantime (the streaming
+            # video-frame pattern) must not divorce the digest from the bytes
+            # it describes — that would poison the content-addressed cache.
+            arr = np.array(image, copy=True)
+            key: CacheKey = (image_digest(arr), self._config_digest)
+            loop = asyncio.get_running_loop()
+
+            # The cache probe yields to the executor, opening a window in
+            # which aclose() could observe empty lanes and let the worker exit
+            # before this request lands in its lane.  The _admitting counter
+            # keeps the worker alive until every submit past the closed check
+            # has either queued or returned.
+            self._admitting += 1
+            if trace is not None:
+                trace.annotate(priority=lane.name.lower())
+                if stream_id is not None:
+                    trace.annotate(stream_id=str(stream_id))
+            try:
+                cached = None
+                if self.cache is not None:
+                    cached = await loop.run_in_executor(
+                        None, functools.partial(self._cache_get, key, trace)
+                    )
                 if cached is not None:
                     segmentation, binary = cached
                     score_start = self._clock()
@@ -691,63 +702,95 @@ class AsyncSegmentationService:
                     self._requests += 1
                     state.submitted += 1
                     self._record_completion(state, now, trace=trace)
-                    return result
-
-            if deadline is not None:
-                estimate = self.estimate_completion_seconds(lane)
-                if estimate > deadline:
-                    state.shed_admission += 1
-                    raise DeadlineExceededError(
-                        f"estimated completion {estimate * 1e3:.1f} ms exceeds the "
-                        f"{deadline * 1e3:.1f} ms deadline"
+                    future = loop.create_future()
+                    future.set_result(result)
+                else:
+                    if deadline is not None:
+                        estimate = self.estimate_completion_seconds(lane)
+                        if estimate > deadline:
+                            state.shed_admission += 1
+                            raise DeadlineExceededError(
+                                f"estimated completion {estimate * 1e3:.1f} ms exceeds "
+                                f"the {deadline * 1e3:.1f} ms deadline"
+                            )
+                    assert self._space is not None  # _ensure_worker ran above
+                    while self._queue_depth() >= self.queue_size:
+                        if not block:
+                            raise ServiceOverloadedError(
+                                f"service queues are full ({self.queue_size} pending requests)"
+                            )
+                        # Lost-wakeup-safe wait: clear, re-check, then wait for
+                        # the worker to signal freed lane space (or for close).
+                        self._space.clear()
+                        if self._queue_depth() < self.queue_size:
+                            break
+                        await self._space.wait()
+                        if self._closed:
+                            raise ServiceClosedError("service closed while waiting for queue space")
+                        if deadline is not None and self._clock() - now >= deadline:
+                            state.shed_admission += 1
+                            raise DeadlineExceededError(
+                                "deadline expired while waiting for queue space"
+                            )
+                    future = loop.create_future()
+                    state.queue.append(
+                        _AsyncRequest(
+                            image=arr,  # already a private snapshot (copied above)
+                            ground_truth=(
+                                np.array(ground_truth, copy=True)
+                                if ground_truth is not None
+                                else None
+                            ),
+                            void_mask=(
+                                np.array(void_mask, copy=True) if void_mask is not None else None
+                            ),
+                            key=key,
+                            priority=lane,
+                            deadline_at=now + deadline if deadline is not None else None,
+                            client_id=client_id,
+                            future=future,
+                            submitted_at=now,
+                            trace=trace,
+                            stream_id=str(stream_id) if stream_id is not None else None,
+                        )
                     )
-            assert self._space is not None  # _ensure_worker ran above
-            while self._queue_depth() >= self.queue_size:
-                if not block:
-                    raise ServiceOverloadedError(
-                        f"service queues are full ({self.queue_size} pending requests)"
-                    )
-                # Lost-wakeup-safe wait: clear, re-check, then wait for the
-                # worker to signal freed lane space (or for close).
-                self._space.clear()
-                if self._queue_depth() < self.queue_size:
-                    break
-                await self._space.wait()
-                if self._closed:
-                    raise ServiceClosedError("service closed while waiting for queue space")
-                if deadline is not None and self._clock() - now >= deadline:
-                    state.shed_admission += 1
-                    raise DeadlineExceededError(
-                        "deadline expired while waiting for queue space"
-                    )
-
-            request = _AsyncRequest(
-                image=arr,  # already a private snapshot (copied above)
-                ground_truth=(
-                    np.array(ground_truth, copy=True) if ground_truth is not None else None
-                ),
-                void_mask=np.array(void_mask, copy=True) if void_mask is not None else None,
-                key=key,
-                priority=lane,
-                deadline_at=now + deadline if deadline is not None else None,
-                client_id=client_id,
-                future=loop.create_future(),
-                submitted_at=now,
-                trace=trace,
-                stream_id=str(stream_id) if stream_id is not None else None,
-            )
-            self._requests += 1
-            state.submitted += 1
-            state.queue.append(request)
-            assert self._wakeup is not None  # _ensure_worker ran above
-            self._wakeup.set()
-        finally:
-            self._admitting -= 1
-        try:
-            return await request.future
-        except asyncio.CancelledError:
-            self._cancelled += 1
+                    self._requests += 1
+                    state.submitted += 1
+                    assert self._wakeup is not None  # _ensure_worker ran above
+                    self._wakeup.set()
+            finally:
+                self._admitting -= 1
+        except BaseException as exc:
+            if owned_since is not None:
+                self._record_owned_trace(trace, owned_since, exc)
             raise
+        if owned_since is not None:
+            future.add_done_callback(
+                lambda done: self._record_owned_trace(
+                    trace,
+                    owned_since,
+                    asyncio.CancelledError() if done.cancelled() else done.exception(),
+                )
+            )
+        return future
+
+    def _record_owned_trace(
+        self, trace: Trace, since: float, error: Optional[BaseException]
+    ) -> None:
+        if error is not None:
+            trace.annotate(error=type(error).__name__)
+        trace.add("service.submit", since, trace.clock())
+        self.tracer.record(trace)
+
+    def _cancel(self, future: "asyncio.Future[PipelineResult]") -> None:
+        """Cancel an admitted request from the loop thread, counted once.
+
+        The blocking facade forwards a caller's ``Future.cancel()`` here: a
+        queued request is then skipped by the drain, a computing one is
+        dropped at resolution.
+        """
+        if future.cancel():
+            self._cancelled += 1
 
     async def map(
         self,

@@ -1,11 +1,11 @@
 """Multi-process HTTP serving: a supervised SO_REUSEPORT worker fleet.
 
-One :class:`~repro.serve.http.HttpSegmentationServer` process tops out at
+One :class:`~repro.serve.HttpSegmentationServer` process tops out at
 roughly one core of segmentation compute — the asyncio loop scales
 connections, not CPU.  :class:`ServeFleet` is the scale-out layer the
 ROADMAP's "millions of users" north star calls for: a supervisor that runs
 **N worker processes behind one HOST:PORT**, all sharing one persistent
-:class:`~repro.serve.diskcache.DiskResultCache` directory as their L2 tier
+:class:`~repro.serve.DiskResultCache` directory as their L2 tier
 (that cache was built multi-process-safe — atomic publishes, lock-file
 sweeps — precisely for this).
 

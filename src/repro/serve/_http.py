@@ -115,6 +115,7 @@ _STATUS_PHRASES = {
     429: "Too Many Requests",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
+    501: "Not Implemented",
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
@@ -201,7 +202,7 @@ class HttpSegmentationServer:
     sock:
         An already *bound* listening socket to serve on instead of binding
         ``host:port``.  This is how the multi-process fleet
-        (:mod:`repro.serve.fleet`) runs several servers behind one address:
+        (:class:`~repro.serve.ServeFleet`) runs several servers behind one address:
         each worker hands in its own ``SO_REUSEPORT`` socket (kernel load
         balancing), or a shared inherited listener where ``SO_REUSEPORT``
         is unavailable.  ``host``/``port`` are read back from the socket.
@@ -452,7 +453,16 @@ class HttpSegmentationServer:
             name, sep, value = line.partition(":")
             if not sep:
                 raise _HttpError(400, f"malformed header line {line!r}")
-            headers[name.strip().lower()] = value.strip()
+            name, value = name.strip().lower(), value.strip()
+            if name == "content-length" and headers.get(name, value) != value:
+                # RFC 9112 §6.3: conflicting lengths make the framing ambiguous.
+                raise _HttpError(400, "conflicting Content-Length headers")
+            headers[name] = value
+        if "transfer-encoding" in headers:
+            # RFC 9112 §6.1: a server that does not implement a transfer
+            # coding answers 501; framing by Content-Length instead would let
+            # a TE-honouring proxy and this server disagree on the body.
+            raise _HttpError(501, "Transfer-Encoding is not supported; send Content-Length")
         path, _, query = target.partition("?")
         length_text = headers.get("content-length")
         if length_text is None and method in ("POST", "PUT"):
@@ -461,12 +471,11 @@ class HttpSegmentationServer:
         if length_text is not None:
             # Any method may carry a body; it must be consumed (or refused
             # with the connection closed) or keep-alive framing desyncs.
-            try:
-                length = int(length_text)
-                if length < 0:
-                    raise ValueError
-            except ValueError:
-                raise _HttpError(400, f"invalid Content-Length {length_text!r}") from None
+            # RFC 9112 §6.2: Content-Length is 1*DIGIT — int() would also
+            # take "+5" or "1_0".
+            if not (length_text.isascii() and length_text.isdigit()):
+                raise _HttpError(400, f"invalid Content-Length {length_text!r}")
+            length = int(length_text)
             if length > self.max_body_bytes:
                 # Refuse before reading: the body is still on the wire, so
                 # the framing is unrecoverable and the connection closes.

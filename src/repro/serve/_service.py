@@ -1,176 +1,87 @@
-"""The streaming segmentation service: queue → micro-batch → engine → cache.
+"""The blocking serving API: a facade over the asyncio serving core.
 
-:class:`SegmentationService` turns the one-shot
-:class:`~repro.engine.BatchSegmentationEngine` into a long-lived server:
+:class:`SegmentationService` gives threaded callers ``submit(image) ->
+concurrent.futures.Future`` without a second implementation of the request
+path.  It owns one private event-loop thread and one
+:class:`~repro.serve.AsyncSegmentationService`, so every request takes the
+core's batching, coalescing, caching and scoring path — the same one the
+HTTP server and the spool driver use.
 
-* **submit** — callers hand in one image at a time and get a
-  :class:`concurrent.futures.Future` back.  The ingress queue is bounded, so a
-  producer that outruns the engine either blocks (default) or gets a
-  :class:`~repro.errors.ServiceOverloadedError` — memory stays flat under
-  overload instead of OOMing.
-* **cache** — before a request is queued, a content-addressed
-  :class:`~repro.serve.cache.ResultCache` lookup (image digest + engine config
-  digest) answers repeats instantly.  The cache stores the raw per-image
-  :class:`~repro.base.SegmentationResult`; scoring against the request's own
-  ground truth happens per request, so one cached segmentation serves
-  differently-annotated copies of the same image.
-* **micro-batching** — a worker thread coalesces queued requests through a
-  :class:`~repro.serve.batcher.MicroBatcher` (flush on batch size or
-  deadline), dedupes identical images *within* the batch, and scatters the
-  distinct ones over the engine's executor.
-* **metrics** — throughput, latency percentiles
-  (:class:`repro.metrics.runtime.LatencyRecorder`), cache hit rate, queue
-  depth and batch-shape statistics via :meth:`SegmentationService.metrics`.
-* **graceful shutdown** — :meth:`close` drains queued work before the worker
-  exits (or cancels it with ``drain=False``); the service is a context
-  manager.
+* **submit** — admission runs on the loop while the caller waits: a cache
+  hit comes back as an already-resolved future, a miss as the queued
+  request's future.  Admission errors (full queue, closed service) raise
+  from :meth:`~SegmentationService.submit` itself.
+* **cancel** — a caller's ``Future.cancel()`` is forwarded to the core,
+  which skips the request if it is still queued and counts it once.
+* **shutdown** — :meth:`~SegmentationService.close` drains (or, with
+  ``drain=False``, cancels) queued work and stops the loop thread; the
+  service is a context manager.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import asyncio
+import concurrent.futures
 import functools
 import threading
 import time
-import queue as queue_module
-from concurrent.futures import Future
 from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
-from ..base import SegmentationResult
-from ..engine import (
-    BatchSegmentationEngine,
-    PipelineResult,
-    binarize_largest_background,
-)
-from ..errors import ParameterError, ServiceClosedError, ServiceOverloadedError
-from ..metrics.runtime import LatencyRecorder
-from ..obs.trace import Trace, Tracer
-from ._batcher import MicroBatcher
-from ._cache import CacheKey, ResultCache, config_digest, image_digest
+from ..engine import BatchSegmentationEngine, PipelineResult
+from ..errors import ServiceClosedError, ServiceOverloadedError
+from ..obs.trace import Tracer
+from ._aio import AsyncSegmentationService, Priority
 
 __all__ = ["SegmentationService"]
 
 
-def _fingerprint_value(value: Any, depth: int = 0) -> Any:
-    """Reduce arbitrary segmenter state to a stable, JSON-friendly form.
+def _deliver(target: concurrent.futures.Future, source: asyncio.Future) -> None:
+    """Copy a settled core future onto the caller's future (loop thread).
 
-    Primitives pass through; sequences recurse; objects with a ``__dict__``
-    (parameter holders like ``NoiseModel``) are expanded one-and-a-half
-    levels deep so that their numeric fields enter the digest.  Anything
-    deeper or opaque (classifier matrices, random generators) collapses to
-    its type name — such state either doesn't affect labels or (generators)
-    makes the output uncacheable anyway.
+    A request shed by ``close(drain=False)`` never ran, so the caller sees
+    it cancelled rather than failed.
     """
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, (tuple, list)):
-        return [_fingerprint_value(item, depth + 1) for item in value]
-    if depth < 2:
-        try:
-            state = vars(value)
-        except TypeError:
-            state = None
-        if state is not None:
-            expanded: Dict[str, Any] = {"__class__": type(value).__qualname__}
-            for attr, item in sorted(state.items()):
-                expanded[attr] = _fingerprint_value(item, depth + 1)
-            return expanded
-    return f"<{type(value).__qualname__}>"
-
-
-def _engine_fingerprint(engine: BatchSegmentationEngine) -> Dict[str, Any]:
-    """Everything that can change the labels an engine produces.
-
-    ``engine.describe()`` is display-oriented and only names the segmenter,
-    so two engines wrapping differently-parameterized segmenters (different
-    θ, normalization, noise models, ...) would collide.  The fingerprint
-    therefore also walks the segmenter's own attributes via
-    :func:`_fingerprint_value` — for the library's segmenters that covers
-    thetas/theta, normalize, max_value, multiband, shot counts and the
-    fields of an attached noise model.
-
-    Backend identity enters the digest **only when it can change results**
-    (``engine.backend_invariant`` is False).  Integer fast paths are bit-exact
-    on every backend and the float kernel stays on the exact reference unless
-    explicitly routed elsewhere, so for invariant engines the backend is
-    scrubbed: warm cache tiers survive a backend switch, and a mixed-backend
-    fleet shares one cache without ever serving divergent labels.
-    """
-    fingerprint = dict(engine.describe())
-    fingerprint.pop("backend", None)
-    fingerprint.pop("float_compute", None)
-    invariant = bool(getattr(engine, "backend_invariant", True))
-    if not invariant:
-        fingerprint["float_backend"] = engine.backend.name
-    segmenter = engine.segmenter
-    fingerprint["segmenter_class"] = type(segmenter).__qualname__
-    params = {
-        attr: _fingerprint_value(value, depth=1)
-        for attr, value in sorted(vars(segmenter).items())
-    }
-    if invariant:
-        # The classifier's wired backend shows up in the attribute walk as a
-        # type name; results are backend-independent here, so drop it.
-        for value in params.values():
-            if isinstance(value, dict) and "_backend" in value:
-                value["_backend"] = None
-    fingerprint["segmenter_params"] = params
-    return fingerprint
-
-
-def _segment_image(engine: BatchSegmentationEngine, image: np.ndarray):
-    # Module-level so batches stay picklable for process executors; exceptions
-    # are returned, not raised, to keep per-image isolation inside a batch.
-    try:
-        return engine.segment(image)
-    except Exception as exc:  # reprolint: disable=RL004 returned and set on the request future
-        return exc
-
-
-class _Request:
-    """One in-flight request: payload, cache key, future, and timing."""
-
-    __slots__ = ("image", "ground_truth", "void_mask", "key", "future", "submitted_at", "trace")
-
-    def __init__(self, image, ground_truth, void_mask, key, submitted_at, trace=None):
-        self.image = image
-        self.ground_truth = ground_truth
-        self.void_mask = void_mask
-        self.key = key
-        self.future: "Future[PipelineResult]" = Future()
-        self.submitted_at = submitted_at
-        self.trace = trace
+    error = None if source.cancelled() else source.exception()
+    if source.cancelled() or isinstance(error, ServiceClosedError):
+        target.cancel()
+    elif target.set_running_or_notify_cancel():
+        if error is not None:
+            target.set_exception(error)
+        else:
+            target.set_result(source.result())
 
 
 class SegmentationService:
-    """A micro-batching, caching segmentation server over a batch engine.
+    """A micro-batching, caching segmentation server with a blocking API.
 
     Parameters
     ----------
     engine:
         The :class:`~repro.engine.BatchSegmentationEngine` that does the
-        actual work (its executor is reused to scatter each micro-batch).
+        actual work (its executor scatters each micro-batch).
     max_batch_size, max_wait_seconds, queue_size:
-        Micro-batcher knobs — see :class:`~repro.serve.batcher.MicroBatcher`.
+        Flush a batch at this size or this long after traffic started
+        accumulating; at most ``queue_size`` requests wait in the queue.
     cache:
         ``None`` to disable caching, the string ``"default"`` for a
         256-entry in-memory LRU, or any object with ``get(key) ->
         value|None`` and ``put(key, value)`` — a
-        :class:`~repro.serve.cache.ResultCache`, a
-        :class:`~repro.serve.diskcache.DiskResultCache`, or the two stacked
-        as a :class:`~repro.serve.cache.TieredResultCache` (memory L1 over a
-        persistent disk L2 shared across processes).
+        :class:`~repro.serve.ResultCache`, a
+        :class:`~repro.serve.DiskResultCache`, or the two stacked as a
+        :class:`~repro.serve.TieredResultCache`.
     clock:
-        Monotonic time source used for every latency/uptime measurement,
-        injectable for deterministic tests.  Never wall-clock
-        (``time.time``): a system clock step must not distort deadlines,
-        TTLs, or latency percentiles.
+        Monotonic time source for every latency/uptime measurement,
+        injectable for deterministic tests.  Never wall-clock.
+    tracer:
+        The :class:`~repro.obs.trace.Tracer` recording per-request traces
+        (default: one on ``clock`` at sample rate 1.0).
 
-    The worker thread starts lazily on the first :meth:`submit` (or
-    explicitly via :meth:`start`); ``with SegmentationService(...) as svc:``
-    guarantees a drained shutdown.
+    The loop thread starts lazily on the first :meth:`submit` (or explicitly
+    via :meth:`start`); ``with SegmentationService(...) as svc:`` guarantees
+    a drained shutdown.  Future callbacks run on the loop thread and must
+    not block on this service.
     """
 
     def __init__(
@@ -183,89 +94,86 @@ class SegmentationService:
         clock: Callable[[], float] = time.monotonic,
         tracer: Optional[Tracer] = None,
     ):
-        if not isinstance(engine, BatchSegmentationEngine):
-            raise ParameterError("engine must be a BatchSegmentationEngine instance")
-        self.engine = engine
-        if cache == "default":
-            cache = ResultCache(max_entries=256)
-        if cache is not None and not (
-            callable(getattr(cache, "get", None)) and callable(getattr(cache, "put", None))
-        ):
-            raise ParameterError('cache must provide get/put, be None, or "default"')
-        self.cache = cache
-        self._clock = clock
-        self._config_digest = config_digest(_engine_fingerprint(engine))
-        self._batcher = MicroBatcher(
+        self._core = AsyncSegmentationService(
+            engine,
             max_batch_size=max_batch_size,
             max_wait_seconds=max_wait_seconds,
             queue_size=queue_size,
+            cache=cache,
+            clock=clock,
+            tracer=tracer,
         )
-        self._latency = LatencyRecorder()
         self._lock = threading.Lock()
-        self._worker: Optional[threading.Thread] = None
+        self._thread: Optional[threading.Thread] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._stop: Optional[asyncio.Event] = None
         self._closed = False
-        self._started_at: Optional[float] = None
-        self._requests = 0
-        self._completed = 0
-        self._failed = 0
-        self._cancelled = 0
-        self._coalesced = 0
-        self.tracer = tracer if tracer is not None else Tracer(clock=clock)
-        self._cache_traced = bool(getattr(cache, "supports_trace", False))
+        self._drain = True
+
+    @property
+    def engine(self) -> BatchSegmentationEngine:
+        return self._core.engine
+
+    @property
+    def cache(self) -> Any:
+        return self._core.cache
+
+    @property
+    def tracer(self) -> Tracer:
+        return self._core.tracer
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
     def start(self) -> "SegmentationService":
-        """Start the worker thread (idempotent); returns ``self``."""
+        """Start the loop thread (idempotent); returns ``self``."""
         with self._lock:
-            if self._closed:
-                raise ServiceClosedError("service is closed")
-            if self._worker is None:
-                self._started_at = self._clock()
-                self._worker = threading.Thread(
-                    target=self._worker_loop, name="repro-serve-worker", daemon=True
-                )
-                self._worker.start()
+            self._start_locked()
         return self
+
+    def _start_locked(self) -> None:
+        if self._closed:
+            raise ServiceClosedError("cannot submit to a closed service")
+        if self._thread is not None:
+            return
+        ready = threading.Event()
+        self._thread = threading.Thread(
+            target=asyncio.run, args=(self._serve(ready),), name="repro-serve-loop", daemon=True
+        )
+        self._thread.start()
+        ready.wait()
+
+    async def _serve(self, ready: threading.Event) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._stop = asyncio.Event()
+        await self._core.__aenter__()
+        ready.set()
+        await self._stop.wait()
+        await self._core.aclose(drain=self._drain)
 
     def close(self, drain: bool = True, timeout: Optional[float] = None) -> None:
         """Shut down: reject new submits, then drain or cancel queued work.
 
-        With ``drain=True`` (default) every request already accepted is still
-        processed before the worker exits — the graceful path.  With
-        ``drain=False`` queued-but-unstarted requests are cancelled (their
-        futures transition to cancelled) and only the batch currently being
-        processed finishes.  Idempotent; ``timeout`` bounds the join.
+        With ``drain=True`` (default) every accepted request is still
+        processed.  With ``drain=False`` queued requests are cancelled (their
+        futures report ``cancelled()``) and only the batch being computed
+        finishes.  Idempotent; ``timeout`` bounds the wait for the loop
+        thread, which finishes the shutdown on its own if that runs out.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            worker = self._worker
-        if not drain:
-            for request in self._batcher.drain():
-                if request.future.cancel():
-                    with self._lock:
-                        self._cancelled += 1
-        self._batcher.close()
-        if worker is not None:
-            worker.join(timeout)
-            if not worker.is_alive():
-                # Sweep stragglers: a submit blocked on a full queue can race
-                # past the closed check in the instant close() runs and land
-                # its request after the worker drained and exited.  Cancel
-                # them so their futures never hang.
-                for request in self._batcher.drain():
-                    if request.future.cancel():
-                        with self._lock:
-                            self._cancelled += 1
+            self._drain = drain
+            thread = self._thread
+        if thread is not None:
+            self._loop.call_soon_threadsafe(self._stop.set)
+            thread.join(timeout)
 
     @property
     def closed(self) -> bool:
         """True once :meth:`close` has been called."""
-        with self._lock:
-            return self._closed
+        return self._closed
 
     def __enter__(self) -> "SegmentationService":
         return self.start()
@@ -283,310 +191,83 @@ class SegmentationService:
         void_mask: Optional[np.ndarray] = None,
         block: bool = True,
         timeout: Optional[float] = None,
-    ) -> "Future[PipelineResult]":
+    ) -> "concurrent.futures.Future[PipelineResult]":
         """Submit one image; returns a future resolving to a scored result.
 
-        A cache hit resolves the future before this call returns (no queue
-        round-trip).  On a miss the request enters the bounded queue:
-        ``block=True`` waits for space (backpressure), ``block=False`` or an
-        expired ``timeout`` raises
-        :class:`~repro.errors.ServiceOverloadedError` instead.
-
-        The image is snapshotted (copied) before it is queued, so callers may
-        freely reuse or mutate their buffer after submit — the streaming
-        video-frame pattern — without corrupting in-flight requests or the
-        content-addressed cache.
+        ``block=True`` waits for queue space (backpressure); ``block=False``
+        or an expired ``timeout`` raises
+        :class:`~repro.errors.ServiceOverloadedError` instead.  The image is
+        snapshotted before it is queued, so callers may reuse their buffer
+        as soon as this returns.
         """
-        arr = np.asarray(image)
-        submitted_at = self._clock()
-        # The content key drives both caching and within-batch coalescing, so
-        # it is computed even when the cache is disabled.
-        key: CacheKey = (image_digest(arr), self._config_digest)
-        trace = self.tracer.begin()
-        request = _Request(arr, ground_truth, void_mask, key, submitted_at, trace=trace)
-
         with self._lock:
-            if self._closed:
-                raise ServiceClosedError("cannot submit to a closed service")
-            self._requests += 1
-        if self._worker is None:
-            self.start()
-
-        if self.cache is not None:
-            cached = self._cache_get(key, trace)
-            if cached is not None:
-                segmentation, binary = cached
-                self._resolve(request, segmentation, cache_hit=True, binary=binary)
-                return request.future
-        # Snapshot the arrays before queueing: the digest above described the
-        # buffer *now*, and the caller is free to overwrite it once submit
-        # returns.  (Cache hits never queue, so they skip the copy.)
-        request.image = np.array(arr, copy=True)
-        if ground_truth is not None:
-            request.ground_truth = np.array(ground_truth, copy=True)
-        if void_mask is not None:
-            request.void_mask = np.array(void_mask, copy=True)
+            self._start_locked()
+            admission = asyncio.run_coroutine_threadsafe(
+                self._admit(image, ground_truth, void_mask, block), self._loop
+            )
         try:
-            self._batcher.put(request, block=block, timeout=timeout)
-        except queue_module.Full:
-            with self._lock:
-                self._requests -= 1
+            return admission.result(timeout)
+        except concurrent.futures.TimeoutError:
+            if not admission.cancel():
+                return admission.result()  # admitted just as the wait ran out
             raise ServiceOverloadedError(
-                f"service queue is full ({self._batcher.queue_size} pending requests)"
+                f"service queue is full ({self._core.queue_size} pending requests)"
             ) from None
-        except ParameterError:
-            # close() raced us between the closed check and the enqueue.
-            with self._lock:
-                self._requests -= 1
-            raise ServiceClosedError("cannot submit to a closed service") from None
-        return request.future
+
+    async def _admit(self, image, ground_truth, void_mask, block: bool):
+        future = await self._core._admit(
+            image,
+            ground_truth,
+            void_mask,
+            priority=Priority.NORMAL,
+            deadline=None,
+            client_id=None,
+            block=block,
+            trace=None,
+            stream_id=None,
+        )
+        result: concurrent.futures.Future = concurrent.futures.Future()
+        future.add_done_callback(functools.partial(_deliver, result))
+        result.add_done_callback(functools.partial(self._forward_cancel, future))
+        return result
+
+    def _forward_cancel(self, future: asyncio.Future, result: concurrent.futures.Future) -> None:
+        if result.cancelled() and not future.done():
+            try:
+                self._loop.call_soon_threadsafe(self._core._cancel, future)
+            except RuntimeError:
+                pass  # the loop already finished; nothing is left to cancel
 
     def map(self, images, ground_truths=None, void_masks=None) -> List[PipelineResult]:
-        """Convenience: submit a whole batch and wait for all results in order."""
-        images = list(images)
-        gts = list(ground_truths) if ground_truths is not None else [None] * len(images)
-        voids = list(void_masks) if void_masks is not None else [None] * len(images)
-        if not (len(images) == len(gts) == len(voids)):
-            raise ParameterError("images, ground_truths and void_masks lengths differ")
-        futures = [
-            self.submit(image, gt, void) for image, gt, void in zip(images, gts, voids)
-        ]
-        return [future.result() for future in futures]
+        """Segment a whole batch concurrently and return the results in order.
 
-    def _cache_get(self, key: CacheKey, trace: Optional[Trace] = None) -> Optional[Any]:
-        """Cache probe recording a ``cache.probe`` span (tier spans nested)."""
-        if self.cache is None:
-            return None
-        if trace is None:
-            return self.cache.get(key)
-        start = trace.clock()
-        if self._cache_traced:
-            value = self.cache.get(key, trace=trace)
-        else:
-            value = self.cache.get(key)
-        trace.add("cache.probe", start, trace.clock(), hit=value is not None)
-        return value
-
-    # ------------------------------------------------------------------ #
-    # worker
-    # ------------------------------------------------------------------ #
-    def _worker_loop(self) -> None:
-        while True:
-            batch = self._batcher.next_batch()
-            if batch is None:
-                return
-            try:
-                self._process(batch)
-            except Exception as exc:  # noqa: BLE001 - never kill the worker silently
-                failed = 0
-                for request in batch:
-                    if not request.future.done():
-                        request.future.set_exception(exc)
-                        failed += 1
-                with self._lock:
-                    self._failed += failed
-
-    def _process(self, batch: List[_Request]) -> None:
-        live = []
-        dropped = 0
-        for request in batch:
-            if request.future.set_running_or_notify_cancel():
-                live.append(request)
-            else:
-                dropped += 1  # the caller cancelled the future while queued
-        if dropped:
-            with self._lock:
-                self._cancelled += dropped
-        if not live:
-            return
-        drained_at = self._clock()
-        for request in live:
-            if request.trace is not None:
-                request.trace.add("queue.wait", request.submitted_at, drained_at)
-        # Coalesce identical images within the batch: one engine evaluation
-        # per distinct content digest (independent of whether the cache is
-        # enabled — the digest is always computed at submit time).
-        groups: Dict[CacheKey, List[_Request]] = {}
-        order: List[CacheKey] = []
-        for request in live:
-            if request.key not in groups:
-                groups[request.key] = []
-                order.append(request.key)
-            groups[request.key].append(request)
-
-        # Re-check the cache per group: a request that missed at submit time
-        # may have been computed by an earlier batch while it sat in the
-        # queue (batches are processed sequentially, so this is race-free).
-        if self.cache is not None:
-            remaining = []
-            for group_key in order:
-                requests = groups[group_key]
-                cached = self._cache_get(group_key, requests[0].trace)
-                if cached is not None:
-                    segmentation, binary = cached
-                    for request in requests:
-                        self._resolve(request, segmentation, cache_hit=True, binary=binary)
-                else:
-                    remaining.append(group_key)
-            order = remaining
-            if not order:
-                return
-
-        representatives = [groups[group_key][0].image for group_key in order]
-        compute_start = self._clock()
-        results = self.engine.executor.map(
-            functools.partial(_segment_image, self.engine), representatives
-        )
-        compute_end = self._clock()
-        for group_key, outcome in zip(order, results):
-            requests = groups[group_key]
-            if not isinstance(outcome, Exception):
-                for request in requests:
-                    if request.trace is not None:
-                        request.trace.add(
-                            "engine.compute",
-                            compute_start,
-                            compute_end,
-                            strategy=str(outcome.extras.get("fast_path", "direct")),
-                            runtime_seconds=float(outcome.runtime_seconds),
-                            prepare_seconds=float(outcome.extras.get("prepare_seconds", 0.0)),
-                            batch_groups=len(order),
-                        )
-            if isinstance(outcome, Exception):
-                for request in requests:
-                    request.future.set_exception(outcome)
-                with self._lock:
-                    self._failed += len(requests)
-                continue
-            # Pre-compute the annotation-free binarization once per distinct
-            # image: it is a pure function of the labels, so cache hits for
-            # unannotated requests can skip scoring entirely.
-            binary = binarize_largest_background(outcome.labels)
-            if self.cache is not None:
-                self.cache.put(group_key, (outcome, binary))
-            for position, request in enumerate(requests):
-                self._resolve(
-                    request,
-                    outcome,
-                    cache_hit=False,
-                    coalesced=position > 0,
-                    binary=binary,
-                )
-
-    def _resolve(
-        self,
-        request: _Request,
-        segmentation: SegmentationResult,
-        cache_hit: bool,
-        coalesced: bool = False,
-        binary: Optional[np.ndarray] = None,
-    ) -> None:
-        if coalesced:
-            with self._lock:
-                self._coalesced += 1
-        trace = request.trace
-        score_start = trace.clock() if trace is not None else 0.0
-        try:
-            tagged = dataclasses.replace(
-                segmentation,
-                extras={
-                    **segmentation.extras,
-                    "cache_hit": cache_hit,
-                    "coalesced": coalesced,
-                },
-            )
-            if request.ground_truth is None and binary is not None:
-                # No annotation to score against: the pre-computed
-                # binarization is the entire evaluation protocol.
-                result = PipelineResult(segmentation=tagged, binary=binary, metrics={})
-            else:
-                result = self.engine.pipeline.score(
-                    tagged, request.ground_truth, request.void_mask
-                )
-        except Exception as exc:  # noqa: BLE001 - scoring failures stay per-request
-            if not request.future.done():
-                request.future.set_exception(exc)
-            with self._lock:
-                self._failed += 1
-            if trace is not None:
-                trace.annotate(error=type(exc).__name__)
-                self.tracer.record(trace)
-            return
-        self._latency.record(self._clock() - request.submitted_at)
+        The first failure is re-raised once every request has settled.
+        """
         with self._lock:
-            self._completed += 1
-        if trace is not None:
-            trace.add("scoring", score_start, trace.clock())
-            trace.annotate(cache_hit=cache_hit, coalesced=coalesced)
-            self.tracer.record(trace)
-        request.future.set_result(result)
+            self._start_locked()
+            batch = asyncio.run_coroutine_threadsafe(
+                self._core.map(images, ground_truths, void_masks), self._loop
+            )
+        return batch.result()
 
     # ------------------------------------------------------------------ #
     # observability
     # ------------------------------------------------------------------ #
     def metrics(self) -> Dict[str, Any]:
-        """A JSON-friendly snapshot of service health and performance."""
-        with self._lock:
-            requests, completed = self._requests, self._completed
-            failed, cancelled = self._failed, self._cancelled
-            coalesced = self._coalesced
-            started_at = self._started_at
-        elapsed = self._clock() - started_at if started_at is not None else 0.0
-        return {
-            "requests": requests,
-            "completed": completed,
-            "failed": failed,
-            "cancelled": cancelled,
-            "coalesced": coalesced,
-            "in_flight": requests - completed - failed - cancelled,
-            "queue_depth": self._batcher.queue_depth,
-            "uptime_seconds": elapsed,
-            "throughput_rps": completed / elapsed if elapsed > 0 else 0.0,
-            "latency_seconds": self._latency.summary(),
-            "latency_sketch": self._latency.sketch(),
-            "batcher": self._batcher.stats,
-            "cache": self._cache_stats(),
-            "trace": self.tracer.counters(),
-        }
+        """The core's JSON-friendly snapshot of service health and performance."""
+        return self._core.metrics()
 
     def trace(self, trace_id: str) -> Optional[Dict[str, Any]]:
         """A completed trace from the flight recorder, or ``None``."""
-        return self.tracer.get(trace_id)
+        return self._core.trace(trace_id)
 
     def traces(self, slowest: int = 10) -> List[Dict[str, Any]]:
         """The slowest retained traces, slowest first."""
-        return self.tracer.slowest(slowest)
-
-    def _cache_stats(self) -> Optional[Dict[str, Any]]:
-        """Stats of whatever cache is attached (tiered caches report L1/L2)."""
-        if self.cache is None:
-            return None
-        stats = getattr(self.cache, "stats", None)
-        if stats is None:
-            return None
-        return stats.as_dict() if hasattr(stats, "as_dict") else dict(stats)
+        return self._core.traces(slowest)
 
     def describe(self) -> Dict[str, Any]:
         """Static configuration (engine + service knobs), JSON-friendly."""
-        return {
-            "engine": self.engine.describe(),
-            "config_digest": self._config_digest,
-            "max_batch_size": self._batcher.max_batch_size,
-            "max_wait_seconds": self._batcher.max_wait_seconds,
-            "queue_size": self._batcher.queue_size,
-            "cache": (
-                {
-                    "max_entries": getattr(self.cache, "max_entries", None),
-                    "ttl_seconds": getattr(self.cache, "ttl_seconds", None),
-                }
-                if self.cache is not None
-                else None
-            ),
-        }
+        return self._core.describe()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"SegmentationService(engine={self.engine!r}, "
-            f"max_batch_size={self._batcher.max_batch_size}, "
-            f"closed={self.closed})"
-        )
+        return f"SegmentationService({self._core!r}, closed={self._closed})"

@@ -1,7 +1,7 @@
 """Job sources and the driver for ``repro-segment serve``.
 
-The CLI feeds a :class:`~repro.serve.service.SegmentationService` from one of
-two job sources:
+The CLI feeds an :class:`~repro.serve.AsyncSegmentationService` through
+:func:`run_jobs_async` from one of two job sources:
 
 * a **spool directory** — every supported image file is one job.  One-shot
   mode processes the current directory contents (sorted, deterministic) and
@@ -11,9 +11,9 @@ two job sources:
   optional, defaults to the path); blank lines are skipped and malformed
   lines become per-job error entries instead of aborting the stream.  A
   configurable priority field (default ``"priority"``) and a
-  ``"deadline_ms"`` key route each job through the async front end's lanes.
+  ``"deadline_ms"`` key route each job through the service's lanes.
 
-Jobs are submitted eagerly (so the micro-batcher can coalesce them) with a
+Jobs are submitted eagerly (so the service can batch and coalesce them) with a
 bounded number of pending futures — the driver itself obeys the same
 bounded-memory discipline as the service it feeds.  Each finished job yields
 one report entry; :func:`build_report` wraps them into the
@@ -34,13 +34,11 @@ import numpy as np
 
 from ..imaging.io_dispatch import IMAGE_EXTENSIONS
 from ..obs import get_logger
-from ._service import SegmentationService
 
 __all__ = [
     "Job",
     "iter_spool_jobs",
     "iter_jsonl_jobs",
-    "run_jobs",
     "run_jobs_async",
     "build_report",
 ]
@@ -56,9 +54,9 @@ class Job:
     id: str
     path: Optional[str] = None
     error: Optional[str] = None  # set for malformed job lines
-    priority: str = "normal"  # lane name for the async front end
+    priority: str = "normal"  # lane name
     deadline_ms: Optional[float] = None  # per-job deadline override
-    client: Optional[str] = None  # quota key for the async front end
+    client: Optional[str] = None  # quota key
 
     @property
     def output_name(self) -> str:
@@ -133,8 +131,7 @@ def iter_jsonl_jobs(stream: TextIO, priority_field: str = "priority") -> Iterato
 
     ``priority_field`` names the JSON key holding the lane (``"high"`` /
     ``"normal"`` / ``"low"``, default lane when absent); a ``"deadline_ms"``
-    key sets a per-job deadline.  Both only matter to the async front end —
-    the sync service ignores them.
+    key sets a per-job deadline.
     """
     for lineno, line in enumerate(stream, start=1):
         line = line.strip()
@@ -187,65 +184,10 @@ def _job_entry(job: Job, outcome: Any) -> Dict[str, Any]:
 
 
 def _write_entry_file(path: str, entry: Dict[str, Any]) -> None:
-    """Write one per-job result file (sync: async callers run it off-loop)."""
+    """Write one per-job result file (blocking: the driver runs it off-loop)."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(entry, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def run_jobs(
-    service: SegmentationService,
-    jobs: Iterable[Job],
-    out_dir: Optional[str] = None,
-    max_pending: Optional[int] = None,
-) -> List[Dict[str, Any]]:
-    """Feed ``jobs`` through ``service`` and return one report entry per job.
-
-    Jobs are submitted as they arrive so the micro-batcher can coalesce them;
-    at most ``max_pending`` futures are outstanding (default: twice the
-    service queue size), keeping driver memory bounded on endless watch
-    streams.  Unreadable images and per-request failures become error entries
-    — one bad job never aborts the run.  With ``out_dir``, each successful
-    job also writes ``<out_dir>/<job>.json``.
-    """
-    from ..imaging.io_dispatch import read_image  # local: keep import cost off the hot path
-
-    if max_pending is None:
-        max_pending = 2 * service._batcher.queue_size
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-
-    entries: List[Dict[str, Any]] = []
-    pending: deque = deque()  # (job, future)
-
-    def _finish(job: Job, future) -> None:
-        try:
-            outcome = future.result()
-        except Exception as exc:  # reprolint: disable=RL004 error becomes the job's report entry
-            outcome = exc
-        entry = _job_entry(job, outcome)
-        if out_dir is not None and "error" not in entry:
-            path = os.path.join(out_dir, f"{job.output_name}.json")
-            _write_entry_file(path, entry)
-            entry["result_file"] = path
-        entries.append(entry)
-
-    for job in jobs:
-        if job.error is not None:
-            entries.append({"id": job.id, "file": job.path, "error": job.error})
-            continue
-        try:
-            image = np.asarray(read_image(job.path))
-        except Exception as exc:  # reprolint: disable=RL004 error becomes the job's report entry
-            entries.append(_job_entry(job, exc))
-            continue
-        pending.append((job, service.submit(image)))
-        while len(pending) >= max_pending:
-            _finish(*pending.popleft())
-
-    while pending:
-        _finish(*pending.popleft())
-    return entries
 
 
 async def run_jobs_async(
@@ -255,14 +197,19 @@ async def run_jobs_async(
     max_pending: Optional[int] = None,
     default_deadline_ms: Optional[float] = None,
 ) -> List[Dict[str, Any]]:
-    """The :func:`run_jobs` driver for an ``AsyncSegmentationService``.
+    """Feed ``jobs`` through ``service`` and return one report entry per job.
 
+    Jobs are submitted as they arrive so the service can batch and coalesce
+    them; at most ``max_pending`` are outstanding (default: twice the service
+    queue size), keeping driver memory bounded on endless watch streams.
     Jobs carry their lane in ``job.priority`` and an optional per-job
-    ``deadline_ms`` (falling back to ``default_deadline_ms``).  The job
-    iterable may block (spool watching) — it is advanced on a worker thread
-    so the event loop keeps resolving in-flight requests.  Shed and expired
-    requests surface as per-job ``error`` entries
-    (``DeadlineExceededError: ...``), exactly like any other per-job failure.
+    ``deadline_ms`` (falling back to ``default_deadline_ms``); every entry
+    reports the job's ``priority``.  The job iterable may block (spool
+    watching) — it is advanced on a worker thread so the event loop keeps
+    resolving in-flight requests.  Unreadable images, shed or expired
+    requests (``DeadlineExceededError: ...``) and other per-request failures
+    become error entries — one bad job never aborts the run.  With
+    ``out_dir``, each successful job also writes ``<out_dir>/<job>.json``.
     """
     from ..imaging.io_dispatch import read_image  # local: keep import cost off the hot path
 

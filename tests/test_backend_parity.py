@@ -140,7 +140,7 @@ def test_engine_reports_backend_in_describe(backend):
 # digest invariance: warm caches survive a backend switch
 # --------------------------------------------------------------------- #
 def test_config_digest_is_backend_invariant_for_exact_float_compute():
-    from repro.serve._service import _engine_fingerprint
+    from repro.serve._cache import _engine_fingerprint
 
     fingerprints = {
         name: _engine_fingerprint(
@@ -156,7 +156,7 @@ def test_config_digest_is_backend_invariant_for_exact_float_compute():
 
 
 def test_config_digest_splits_for_non_bit_exact_float_backends():
-    from repro.serve._service import _engine_fingerprint
+    from repro.serve._cache import _engine_fingerprint
 
     class _ApproxBackend(NumpyBackend):
         name = "approx-test"

@@ -29,6 +29,7 @@ _REQUIRED_JOB_KEYS = {
     "coalesced",
     "runtime_seconds",
     "metrics",
+    "priority",
     "result_file",
 }
 
@@ -135,6 +136,29 @@ def test_serve_jsonl_stdin_jobs(tmp_path, rng, monkeypatch, capsys):
     assert "result_file" not in by_id["first"]
 
 
+def test_serve_jsonl_jobs_carry_their_lane_without_async(tmp_path, rng, monkeypatch):
+    image_path = tmp_path / "input.png"
+    write_image(image_path, (rng.random((10, 12, 3)) * 255).astype(np.uint8))
+    lines = "\n".join(
+        json.dumps({"path": str(image_path), "id": job_id, **extra})
+        for job_id, extra in (
+            ("urgent", {"priority": "high"}),
+            ("bulk", {"priority": "low"}),
+            ("plain", {}),
+        )
+    )
+    monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+    report_path = tmp_path / "report.json"
+    assert main(["serve", "-", "--report", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    by_id = {job["id"]: job for job in report["jobs"]}
+    assert by_id["urgent"]["priority"] == "high"
+    assert by_id["bulk"]["priority"] == "low"
+    assert by_id["plain"]["priority"] == "normal"
+    assert report["metrics"]["lanes"]["high"]["completed"] == 1
+    assert report["metrics"]["lanes"]["low"]["completed"] == 1
+
+
 def test_serve_jsonl_stdin_respects_limit(tmp_path, rng, monkeypatch):
     image_path = tmp_path / "input.png"
     write_image(image_path, (rng.random((8, 8, 3)) * 255).astype(np.uint8))
@@ -160,7 +184,7 @@ def test_serve_watch_mode_stops_on_stop_file(tmp_path, rng):
 
 
 def test_iter_spool_jobs_watch_waits_for_files_to_settle(tmp_path, rng):
-    from repro.serve.spool import iter_spool_jobs
+    from repro.serve import iter_spool_jobs
 
     write_image(tmp_path / "a.png", (rng.random((8, 8, 3)) * 255).astype(np.uint8))
     jobs = iter_spool_jobs(str(tmp_path), watch=True, poll_seconds=0.01)
@@ -183,7 +207,7 @@ def test_iter_spool_jobs_serves_files_spooled_before_the_stop_file(tmp_path, rng
     """
     import os
 
-    from repro.serve import spool
+    from repro.serve import _spool as spool
 
     write_image(tmp_path / "a.png", (rng.random((8, 8, 3)) * 255).astype(np.uint8))
     real_listdir = os.listdir
@@ -440,7 +464,7 @@ def test_serve_http_end_to_end_with_graceful_sigterm(tmp_path, rng):
     import subprocess
     import sys as _sys
 
-    from repro.serve.http_client import SegmentClient
+    from repro.serve import SegmentClient
 
     report_path = tmp_path / "report.json"
     env = dict(os.environ)
@@ -527,7 +551,7 @@ def test_serve_http_worker_fleet_restarts_and_drains(tmp_path, rng):
     import sys as _sys
     import time
 
-    from repro.serve.http_client import SegmentClient
+    from repro.serve import SegmentClient
 
     report_path = tmp_path / "fleet-report.json"
     env = dict(os.environ)

@@ -1,4 +1,4 @@
-"""Tests for the multi-process serving fleet (``repro.serve.fleet``).
+"""Tests for the multi-process serving fleet (``repro.serve.ServeFleet``).
 
 The integration tests spawn real worker processes (the same start method
 production uses), so they keep the workload tiny: 2 workers, small images,

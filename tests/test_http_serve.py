@@ -1,4 +1,4 @@
-"""Tests for the HTTP serving front end (``repro.serve.http`` + client)."""
+"""Tests for the HTTP serving front end (``HttpSegmentationServer`` + client)."""
 
 import asyncio
 import base64
@@ -25,8 +25,13 @@ from repro.errors import (
     ServiceOverloadedError,
 )
 from repro.imaging.io_png import write_png
-from repro.serve import AsyncSegmentationService, HttpSegmentationServer, SegmentClient
-from repro.serve.http import decode_array_payload, status_for_exception
+from repro.serve import (
+    AsyncSegmentationService,
+    HttpSegmentationServer,
+    SegmentClient,
+    status_for_exception,
+)
+from repro.serve._http import decode_array_payload
 
 
 def _engine(**kwargs):
@@ -358,6 +363,40 @@ def test_unknown_route_404_wrong_method_405_missing_length_411(rng):
         )
         assert status == 411
         assert _raw(box["port"], b"GARBAGE\r\n\r\n") == 400
+
+
+@pytest.mark.parametrize(
+    "framing, status",
+    [
+        (b"Content-Length: +5\r\n\r\nhello", 400),
+        (b"Content-Length: 1_0\r\n\r\nhelloworld", 400),
+        (b"Content-Length: 5\r\nContent-Length: 10\r\n\r\nhelloworld", 400),
+        (b"Transfer-Encoding: chunked\r\nContent-Length: 5\r\n\r\n0\r\n\r\n", 501),
+        (b"Transfer-Encoding: chunked\r\n\r\n0\r\n\r\n", 501),
+    ],
+    ids=["signed-length", "underscored-length", "conflicting-lengths", "te-and-cl", "te-only"],
+)
+def test_ambiguous_request_framing_is_refused_and_closed(framing, status):
+    """RFC 9112 §6.1-6.3: framing the server cannot trust is refused outright.
+
+    Each request would otherwise be answered 200 (``/healthz``), with the
+    body framed by a length the sender may not have meant.
+    """
+    with _serve(lambda: AsyncSegmentationService(_engine(), max_wait_seconds=0.001)) as box:
+        with socket.create_connection(("127.0.0.1", box["port"]), timeout=30) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n" + framing)
+            response = b""
+            while b"\r\n\r\n" not in response:
+                chunk = sock.recv(65536)
+                assert chunk, "connection closed without a response"
+                response += chunk
+            head = response.split(b"\r\n\r\n", 1)[0]
+            assert head.startswith(f"HTTP/1.1 {status} ".encode())
+            assert b"\r\nconnection: close" in head.lower()
+            while sock.recv(65536):
+                pass  # the server closes its end after the refusal
+        response, _ = _get(box["port"], "/healthz")
+        assert response.status == 200
 
 
 def test_expect_100_continue_is_answered_before_the_body(rng):

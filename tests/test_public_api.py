@@ -1,16 +1,12 @@
-"""The consolidated public API surface and its deprecation shims.
+"""The consolidated public API surface.
 
 ``repro`` and ``repro.serve`` declare their supported names in ``__all__``
-and resolve them lazily (PEP 562).  These tests pin three promises:
+and resolve them lazily (PEP 562).  These tests pin two promises:
 
 * every advertised name actually imports (no stale ``__all__`` entries),
-* laziness is real — ``import repro`` does not pull in heavy subsystems,
-* the old deep serve paths (``repro.serve.fleet``, ...) keep working but
-  emit :class:`DeprecationWarning` and alias the real module *identically*
-  (so monkeypatching through an old path still patches the live code).
+* laziness is real — ``import repro`` does not pull in heavy subsystems.
 """
 
-import importlib
 import subprocess
 import sys
 
@@ -18,20 +14,6 @@ import pytest
 
 import repro
 import repro.serve
-
-#: Old deep import path → the private module that now holds the code.
-_SERVE_SHIMS = {
-    "repro.serve.aio": "repro.serve._aio",
-    "repro.serve.batcher": "repro.serve._batcher",
-    "repro.serve.cache": "repro.serve._cache",
-    "repro.serve.diskcache": "repro.serve._diskcache",
-    "repro.serve.fleet": "repro.serve._fleet",
-    "repro.serve.http": "repro.serve._http",
-    "repro.serve.http_client": "repro.serve._http_client",
-    "repro.serve.service": "repro.serve._service",
-    "repro.serve.shmcache": "repro.serve._shmcache",
-    "repro.serve.spool": "repro.serve._spool",
-}
 
 
 @pytest.mark.parametrize("name", sorted(repro.__all__))
@@ -76,28 +58,9 @@ def test_version_is_exported():
     assert "__version__" in repro.__all__
 
 
-@pytest.mark.parametrize("old_path", sorted(_SERVE_SHIMS))
-def test_deprecated_serve_paths_warn_and_alias_the_real_module(old_path):
-    real = importlib.import_module(_SERVE_SHIMS[old_path])
-    # Drop any cached entry so the shim body (and its warning) re-executes.
-    sys.modules.pop(old_path, None)
-    with pytest.warns(DeprecationWarning, match="deprecated import path"):
-        shim = importlib.import_module(old_path)
-    assert shim is real
-    assert sys.modules[old_path] is real
-
-
-def test_monkeypatching_through_an_old_path_patches_the_live_module(monkeypatch):
-    # The shims alias (not copy) the real module, so test suites that patch
-    # attributes via the historical path still affect the running code.
-    old = importlib.import_module("repro.serve.fleet")
-    monkeypatch.setattr(old, "_PATCH_PROBE", "patched", raising=False)
-    assert repro.serve._fleet._PATCH_PROBE == "patched"
-
-
 def test_serve_surface_covers_the_shim_modules_public_names():
-    # Every class the old paths exposed is reachable from repro.serve —
-    # the migration recipe in the shim docstrings must actually work.
-    for name in ("ServeFleet", "WorkerSpec", "MicroBatcher", "SegmentClient",
+    # Every class the removed deep paths exposed is reachable from
+    # repro.serve, the one import surface.
+    for name in ("ServeFleet", "WorkerSpec", "SegmentClient",
                  "SegmentationService", "AsyncSegmentationService", "ResultCache"):
         assert hasattr(repro.serve, name), name

@@ -1,4 +1,4 @@
-"""Tests for the asyncio serving front end (``repro.serve.aio``)."""
+"""Tests for the asyncio serving core (``repro.serve.AsyncSegmentationService``)."""
 
 import asyncio
 import threading
@@ -17,7 +17,7 @@ from repro.errors import (
     ServiceOverloadedError,
 )
 from repro.serve import AsyncSegmentationService, Priority, ResultCache, TokenBucket
-from repro.serve.aio import _AsyncRequest
+from repro.serve._aio import _AsyncRequest
 
 
 class FakeClock:

@@ -1,21 +1,27 @@
 """Monotonic-clock regression tests for the serving layer.
 
-Every time source in the request path (micro-batcher deadlines, cache TTLs,
-service latency/uptime, async deadlines) must be a *monotonic* clock, never
+Every time source in the request path (cache TTLs, service latency/uptime,
+async deadlines) must be a *monotonic* clock, never
 ``time.time()`` — a wall-clock step (NTP correction, DST, manual reset) must
 not flush batches early, expire cache entries, or distort latency
 percentiles.  These tests pin that down with injected fake clocks and a
 source audit.
 """
 
+import asyncio
 import sys
 import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.serve import MicroBatcher, ResultCache
+from repro.base import BaseSegmenter
+from repro.core.rgb_segmenter import IQFTSegmenter
+from repro.engine import BatchSegmentationEngine, PipelineResult
+from repro.errors import DeadlineExceededError
+from repro.serve import AsyncSegmentationService, ResultCache, SegmentationService
 
 
 class FakeClock:
@@ -51,48 +57,94 @@ def test_no_wall_clock_on_the_serve_path():
     assert not rendered, "wall-clock reads on the serve path:\n" + "\n".join(rendered)
 
 
-def test_batcher_deadline_flush_follows_the_injected_clock():
+class GatedSegmenter(BaseSegmenter):
+    """A segmenter that blocks until released — holds the batch worker busy."""
+
+    name = "gated"
+
+    def __init__(self):
+        super().__init__()
+        self.gate = threading.Event()
+        self.entered = threading.Event()
+
+    def _segment(self, image):
+        self.entered.set()
+        assert self.gate.wait(30.0), "gate never released"
+        return np.zeros(np.asarray(image).shape[:2], dtype=np.int64)
+
+
+def _frame(value):
+    return np.full((10, 12, 3), value, dtype=np.uint8)
+
+
+def _queued_deadline_outcome(advance):
+    """Queue one request with a 0.1 s deadline; the clock moves ``advance``."""
     clock = FakeClock()
-    batcher = MicroBatcher(max_batch_size=4, max_wait_seconds=100.0, clock=clock)
-    batcher.put("item")
-    outcome = {}
 
-    def consume():
-        outcome["batch"] = batcher.next_batch()
+    async def scenario():
+        service = AsyncSegmentationService(
+            BatchSegmentationEngine(IQFTSegmenter(thetas=np.pi)),
+            max_batch_size=4,
+            max_wait_seconds=0.3,
+            cache=None,
+            clock=clock,
+        )
+        request = asyncio.ensure_future(service.submit(_frame(1), deadline=0.1))
+        await asyncio.sleep(0.15)  # more *real* time than the deadline allows...
+        assert not request.done(), "batch flushed before its fill window closed"
+        clock.advance(advance)  # ...but only the injected clock can expire it
+        (outcome,) = await asyncio.gather(request, return_exceptions=True)
+        await service.aclose()
+        return outcome, service.metrics()
 
-    worker = threading.Thread(target=consume, daemon=True)
-    worker.start()
-    time.sleep(0.15)  # plenty of *real* time passes...
-    assert worker.is_alive(), "batch flushed on wall time instead of the injected clock"
-    clock.advance(100.1)  # ...but only the injected clock triggers the deadline
-    worker.join(10.0)
-    assert not worker.is_alive()
-    assert outcome["batch"] == ["item"]
-    assert batcher.stats["flushes"]["deadline"] == 1
-    batcher.close()
+    return asyncio.run(scenario())
+
+
+def test_batcher_deadline_flush_follows_the_injected_clock():
+    """The batch drain sheds a queued request on the injected clock only."""
+    outcome, metrics = _queued_deadline_outcome(advance=0.0)
+    assert isinstance(outcome, PipelineResult)
+    assert metrics["completed"] == 1 and metrics["shed"]["expired"] == 0
+    outcome, metrics = _queued_deadline_outcome(advance=0.2)
+    assert isinstance(outcome, DeadlineExceededError)
+    assert metrics["completed"] == 0 and metrics["shed"]["expired"] == 1
+
+
+def _blocked_submit_outcome(advance):
+    """Block a 0.1 s-deadline submit on a full queue; the clock moves ``advance``."""
+    clock = FakeClock()
+    segmenter = GatedSegmenter()
+
+    async def scenario():
+        service = AsyncSegmentationService(
+            BatchSegmentationEngine(segmenter),
+            max_batch_size=1,
+            max_wait_seconds=0.0,
+            queue_size=1,
+            cache=None,
+            clock=clock,
+        )
+        running = asyncio.ensure_future(service.submit(_frame(0)))
+        await asyncio.get_running_loop().run_in_executor(None, segmenter.entered.wait, 10.0)
+        queued = asyncio.ensure_future(service.submit(_frame(1)))  # fills the queue
+        await asyncio.sleep(0)
+        blocked = asyncio.ensure_future(service.submit(_frame(2), deadline=0.1))
+        await asyncio.sleep(0.15)  # more *real* time than the deadline allows...
+        assert not blocked.done(), "submit gave up on wall time instead of the injected clock"
+        clock.advance(advance)  # ...but only the injected clock can expire it
+        segmenter.gate.set()  # the worker drains and frees queue space
+        (outcome,) = await asyncio.gather(blocked, return_exceptions=True)
+        await asyncio.gather(running, queued)
+        await service.aclose()
+        return outcome
+
+    return asyncio.run(scenario())
 
 
 def test_batcher_put_timeout_follows_the_injected_clock():
-    clock = FakeClock()
-    batcher = MicroBatcher(max_batch_size=1, queue_size=1, clock=clock)
-    batcher.put("fills-the-queue")
-    blocked = {}
-
-    def producer():
-        try:
-            batcher.put("blocked", timeout=50.0)
-        except Exception as exc:  # noqa: BLE001 - recorded for the assertion
-            blocked["error"] = type(exc).__name__
-
-    worker = threading.Thread(target=producer, daemon=True)
-    worker.start()
-    time.sleep(0.15)
-    assert worker.is_alive(), "put timed out on wall time instead of the injected clock"
-    clock.advance(51.0)
-    worker.join(10.0)
-    assert not worker.is_alive()
-    assert blocked["error"] == "Full"
-    batcher.close()
+    """A submit blocked on a full queue times out on the injected clock only."""
+    assert isinstance(_blocked_submit_outcome(advance=0.0), PipelineResult)
+    assert isinstance(_blocked_submit_outcome(advance=0.2), DeadlineExceededError)
 
 
 def test_cache_ttl_expires_on_injected_clock_only():
@@ -119,12 +171,6 @@ def test_cache_ttl_is_immune_to_wall_clock_jumps(monkeypatch):
 
 
 def test_service_latency_and_uptime_follow_the_injected_clock(rng):
-    import numpy as np
-
-    from repro.core.rgb_segmenter import IQFTSegmenter
-    from repro.engine import BatchSegmentationEngine
-    from repro.serve import SegmentationService
-
     clock = FakeClock()
     engine = BatchSegmentationEngine(IQFTSegmenter(thetas=np.pi))
     service = SegmentationService(engine, max_wait_seconds=0.001, clock=clock)

@@ -1,5 +1,6 @@
-"""Tests for :class:`repro.serve.service.SegmentationService`."""
+"""Tests for :class:`repro.serve.SegmentationService`, the blocking facade."""
 
+import sys
 import threading
 
 import numpy as np
@@ -163,7 +164,7 @@ def test_caller_cancelled_future_is_accounted(rng):
     assert running.result(timeout=30) is not None
     metrics = service.metrics()
     assert metrics["cancelled"] == 1
-    assert metrics["in_flight"] == 0
+    assert metrics["requests"] == metrics["completed"] + metrics["failed"] + metrics["cancelled"]
 
 
 def test_shared_cache_isolates_differently_configured_engines(rng):
@@ -219,6 +220,42 @@ def test_backpressure_rejects_when_queue_full(rng):
     metrics = service.metrics()
     assert metrics["completed"] == 3
     assert metrics["requests"] == 3  # rejected submits are not counted
+
+
+def test_concurrent_submitters_share_one_core(rng):
+    """Threads submitting at once: every request answered and counted once."""
+    images = [_image(rng, value=v) for v in (10, 60, 110, 160)]
+    expected = [_engine().segment(image).labels for image in images]
+    threads_count, per_thread = 6, 24
+    outcomes = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with SegmentationService(_engine(), max_wait_seconds=0.001) as service:
+
+            def producer(offset):
+                for index in range(per_thread):
+                    slot = (offset + index) % len(images)
+                    outcomes.append((slot, service.submit(images[slot])))
+
+            workers = [
+                threading.Thread(target=producer, args=(offset,))
+                for offset in range(threads_count)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(60)
+                assert not worker.is_alive()
+            for slot, future in outcomes:
+                assert np.array_equal(future.result(timeout=30).labels, expected[slot])
+            metrics = service.metrics()
+    finally:
+        sys.setswitchinterval(interval)
+    total = threads_count * per_thread
+    assert len(outcomes) == total
+    assert metrics["requests"] == metrics["completed"] == total
+    assert metrics["failed"] == metrics["cancelled"] == 0
 
 
 def test_per_request_failures_do_not_poison_the_batch(rng):
@@ -292,15 +329,15 @@ def test_metrics_snapshot_shape(rng):
         metrics = service.metrics()
     assert metrics["requests"] == 1
     assert metrics["completed"] == 1
-    assert metrics["in_flight"] == 0
+    assert metrics["requests"] == metrics["completed"] + metrics["failed"] + metrics["cancelled"]
     assert metrics["throughput_rps"] > 0
     assert set(metrics["latency_seconds"]) >= {"count", "mean", "max", "p50", "p90", "p99"}
     assert metrics["latency_seconds"]["count"] == 1.0
-    assert metrics["batcher"]["batches"] >= 1
+    assert metrics["batches"] >= 1
     assert 0.0 <= metrics["cache"]["hit_rate"] <= 1.0
     description = service.describe()
     assert description["engine"]["segmenter"] == "iqft-rgb"
-    assert description["cache"]["max_entries"] == 256
+    assert service.cache.max_entries == 256
 
 
 def test_constructor_validation():

@@ -7,7 +7,7 @@ percentiles.  PR 4 fixed a family of exactly these bugs; this rule absorbs
 and widens the textual ``time.time()`` audit that used to live in
 ``tests/test_serve_monotonic.py``.
 
-Allowlist: the disk-cache modules compare against file *mtimes*, which the
+Allowlist: the disk-cache module compares against file *mtimes*, which the
 OS stamps with the wall clock — ``time.time()`` is the correct clock there
 (ages are clamped at 0 against backwards steps, tested separately).
 """
@@ -35,7 +35,7 @@ SERVE_PATH_PREFIXES = (
 )
 
 #: Wall clock is legitimate where values are compared against file mtimes.
-ALLOWLISTED_MODULES = frozenset({"repro.serve.diskcache", "repro.serve._diskcache"})
+ALLOWLISTED_MODULES = frozenset({"repro.serve._diskcache"})
 
 _WALL_CLOCK_CALLS = frozenset({"time.time", "datetime.utcnow", "datetime.datetime.utcnow"})
 _NOW_CALLS = frozenset({"datetime.now", "datetime.datetime.now"})

@@ -3,18 +3,16 @@
 The architecture is a strict stack (``repro.backend -> repro.engine ->
 repro.serve -> fleet/CLI``); serve code importing ``repro.core.*`` or an
 engine *submodule* couples the serving stack to compute internals and makes
-the public-surface promise in ``repro/__init__.py`` unenforceable.  This rule
-absorbs the former ``tools/check_layering.py`` (PR 8), which remains as a
-thin CLI shim over :func:`check_layering`.
+the public-surface promise in ``repro/__init__.py`` unenforceable.  Run it
+alone with ``python -m tools.reprolint --rules RL001``.
 """
 
 from __future__ import annotations
 
 import ast
-from pathlib import Path
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
-from ..engine import FileContext, Finding, Rule, module_name, register
+from ..engine import FileContext, Finding, Rule, register
 
 #: Module prefixes the serve layer must not import (exact module or any
 #: submodule).  ``repro.engine`` itself is NOT listed: the package surface
@@ -87,19 +85,3 @@ class LayeringRule(Rule):
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for lineno, message in violation_messages(ctx.tree, ctx.module):
             yield ctx.finding(self, lineno, message)
-
-
-def check_layering(src_root: Path) -> List[str]:
-    """Compatibility surface for the ``tools/check_layering.py`` shim.
-
-    Walks ``<src_root>/repro/serve`` and returns the legacy one-line-per-
-    violation strings (absolute path, line, message) the old checker printed.
-    """
-    serve_dir = Path(src_root) / "repro" / "serve"
-    out: List[str] = []
-    for path in sorted(serve_dir.rglob("*.py")):
-        importing_module = module_name(path, Path(src_root))
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for lineno, message in violation_messages(tree, importing_module):
-            out.append(f"{path}:{lineno}: {message}")
-    return out
