@@ -682,19 +682,13 @@ def _run_fleet_serve(  # pragma: no cover - driven via subprocess in the CLI tes
             except (ValueError, OSError):
                 pass
 
-    finals = metrics.get("workers", [])
-    http_requests = sum(int((final.get("http") or {}).get("requests", 0)) for final in finals)
-    responses: dict = {}
-    for final in finals:
-        for code, count in ((final.get("http") or {}).get("responses", {}) or {}).items():
-            responses[code] = responses.get(code, 0) + int(count)
     report = {
         "schema": "repro-http-serve-report/v1",
         "method": spec.method,
         "parameters": {"theta": theta_used, "seed": spec.seed},
         "fleet": metrics.get("fleet", {}),
         "metrics": metrics,
-        "http": {"requests": http_requests, "responses": responses, "draining": True},
+        "http": metrics.get("http") or {},
     }
     payload = json.dumps(report, indent=2, sort_keys=True)
     if args.report:
@@ -704,7 +698,7 @@ def _run_fleet_serve(  # pragma: no cover - driven via subprocess in the CLI tes
         print(payload)
     print(
         f"http-serve: fleet served {report['metrics'].get('completed', 0)} request(s), "
-        f"{http_requests} HTTP request(s) total, "
+        f"{report['http'].get('requests', 0)} HTTP request(s) total, "
         f"{report['fleet'].get('restarts', 0)} restart(s)"
         + (f" -> {args.report}" if args.report else ""),
         file=sys.stderr,

@@ -1,14 +1,14 @@
 """Prometheus text exposition for the serve metrics tree.
 
 :func:`render_prometheus` walks the dict returned by
-``AsyncSegmentationService.metrics()`` / ``ServeFleet.metrics()["merged"]``
-(and the sync service's subset of it) and renders the classic Prometheus
-text format — counters, gauges, and the mergeable log-spaced latency
-sketches as *native histograms* (cumulative ``le`` buckets, ``_sum``,
-``_count``).  The slow-request exemplar (the trace ID of the slowest recent
-request) is attached as a separate ``repro_request_latency_exemplar_seconds``
-gauge with a ``trace_id`` label, which stays valid classic exposition (no
-OpenMetrics extensions required).
+``AsyncSegmentationService.metrics()`` or ``ServeFleet.metrics()`` through
+the declarations in :mod:`repro.obs.schema` and renders the classic
+Prometheus text format — counters, gauges, and the mergeable log-spaced
+latency sketches as *native histograms* (cumulative ``le`` buckets,
+``_sum``, ``_count``).  The slow-request exemplar (the trace ID of the
+slowest recent request) is attached as a separate
+``repro_request_latency_exemplar_seconds`` gauge with a ``trace_id`` label,
+which stays valid classic exposition (no OpenMetrics extensions required).
 
 :func:`validate_exposition` is the checker CI runs against a live scrape:
 ``python -m repro.obs.prom <file|->`` exits non-zero listing every violation.
@@ -21,10 +21,11 @@ import re
 import sys
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
+from .schema import METRICS, Metric, leaves
+
 __all__ = ["render_prometheus", "validate_exposition", "main"]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-_LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 _SAMPLE_RE = re.compile(
     r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
     r"(?:\{(?P<labels>[^{}]*)\})?"
@@ -124,13 +125,8 @@ def _is_sketch(sketch: Any) -> bool:
     )
 
 
-def _num(tree: Mapping[str, Any], key: str) -> Optional[float]:
-    value = tree.get(key)
-    if isinstance(value, bool):
-        return float(value)
-    if isinstance(value, (int, float)):
-        return float(value)
-    return None
+def _num(value: Any) -> Optional[float]:
+    return float(value) if isinstance(value, (int, float)) else None
 
 
 def render_prometheus(
@@ -138,281 +134,28 @@ def render_prometheus(
     namespace: str = "repro",
     extra_labels: Optional[Dict[str, str]] = None,
 ) -> str:
-    """Render a service/fleet metrics tree in Prometheus text format.
+    """Render a metrics tree: one family per named schema entry that has samples.
 
-    ``extra_labels`` (e.g. ``{"worker": "3"}``) are attached to every sample
-    — the fleet endpoint uses this to expose per-worker families alongside
-    the merged view.
+    ``extra_labels`` (e.g. ``{"worker": "3"}``) are attached to every sample.
     """
     base = dict(extra_labels or {})
+    found: Dict[Metric, List[Tuple[Dict[str, str], Any]]] = {}
+    for _, metric, labels, value in leaves(metrics):
+        if metric is not None and metric.name:
+            found.setdefault(metric, []).append(({**base, **labels}, value))
     out = _Writer(namespace)
-
-    def counter(key: str, name: str, help_text: str, tree: Mapping[str, Any] = metrics) -> None:
-        out.family(name, "counter", help_text, [(base, _num(tree, key))])
-
-    def gauge(key: str, name: str, help_text: str, tree: Mapping[str, Any] = metrics) -> None:
-        out.family(name, "gauge", help_text, [(base, _num(tree, key))])
-
-    counter("requests", "requests_total", "Requests submitted.")
-    counter("completed", "completed_total", "Requests completed successfully.")
-    counter("failed", "failed_total", "Requests that raised.")
-    counter("cancelled", "cancelled_total", "Requests cancelled by the caller.")
-    counter("coalesced", "coalesced_total", "Requests coalesced onto an in-batch twin.")
-    counter("quota_rejections", "quota_rejections_total", "Requests rejected by per-client quotas.")
-    gauge("in_flight", "in_flight", "Requests currently in flight.")
-    gauge("queue_depth", "queue_depth", "Requests queued across lanes.")
-    gauge("uptime_seconds", "uptime_seconds", "Service uptime.")
-    gauge("throughput_rps", "throughput_rps", "Completed requests per second since start.")
-    counter("batches", "batches_total", "Micro-batches processed.")
-    gauge("mean_batch_size", "mean_batch_size", "Mean micro-batch size.")
-    gauge("ewma_request_seconds", "ewma_request_seconds", "EWMA of per-request service time.")
-    gauge("workers_scraped", "fleet_workers_scraped", "Workers merged into this snapshot.")
-    counter("scrape_failures", "fleet_scrape_failures_total", "Admin scrapes failed and skipped.")
-
-    shed = metrics.get("shed")
-    if isinstance(shed, Mapping):
-        out.family(
-            "shed_total",
-            "counter",
-            "Requests shed, by reason.",
-            [({**base, "reason": reason}, _num(shed, reason)) for reason in sorted(shed)],
-        )
-
-    lanes = metrics.get("lanes")
-    if isinstance(lanes, Mapping):
-        lane_rows = sorted(
-            (str(name), stats) for name, stats in lanes.items() if isinstance(stats, Mapping)
-        )
-        for key, name, kind, help_text in (
-            ("depth", "lane_depth", "gauge", "Queued requests in this lane."),
-            ("submitted", "lane_submitted_total", "counter", "Requests admitted to this lane."),
-            ("completed", "lane_completed_total", "counter", "Requests completed from this lane."),
-            ("shed_admission", "lane_shed_admission_total", "counter", "Shed at admission."),
-            ("shed_expired", "lane_shed_expired_total", "counter", "Shed by in-queue expiry."),
-            ("weight", "lane_weight", "gauge", "Drain weight of this lane."),
-        ):
-            out.family(
-                name,
-                kind,
-                help_text,
-                [({**base, "lane": lane}, _num(stats, key)) for lane, stats in lane_rows],
-            )
-        out.histogram(
-            "lane_latency_seconds",
-            "End-to-end request latency per lane.",
-            [
-                ({**base, "lane": lane}, stats.get("latency_sketch"))
-                for lane, stats in lane_rows
-            ],
-        )
-        lane_delta_rows = [
-            (lane, stats["delta"])
-            for lane, stats in lane_rows
-            if isinstance(stats.get("delta"), Mapping)
-        ]
-        for key, name, help_text in (
-            ("frames", "lane_delta_frames_total", "Stream frames computed via the delta path."),
-            ("tiles_reused", "lane_delta_tiles_reused_total", "Delta tiles reused, not recomputed."),
-            (
-                "tiles_recomputed",
-                "lane_delta_tiles_recomputed_total",
-                "Delta tiles re-segmented because their content changed.",
-            ),
-        ):
-            out.family(
-                name,
-                "counter",
-                help_text,
-                [({**base, "lane": lane}, _num(delta, key)) for lane, delta in lane_delta_rows],
-            )
-
-    out.histogram(
-        "request_latency_seconds",
-        "End-to-end request latency.",
-        [(base, metrics.get("latency_sketch"))],
-    )
-
-    exemplar = metrics.get("latency_exemplar")
-    if isinstance(exemplar, Mapping) and exemplar.get("trace_id"):
-        out.family(
-            "request_latency_exemplar_seconds",
-            "gauge",
-            "Latency of the slowest recent traced request (trace_id keys the flight recorder).",
-            [({**base, "trace_id": str(exemplar["trace_id"])}, _num(exemplar, "seconds"))],
-        )
-
-    # Active array backend(s): one info-style sample per backend serving
-    # traffic — a single service reports one, a mixed fleet several.
-    backends = metrics.get("backends")
-    if not isinstance(backends, (list, tuple)):
-        backends = [metrics.get("backend")] if metrics.get("backend") else []
-    if backends:
-        out.family(
-            "backend_info",
-            "gauge",
-            "Array backends actively serving (1 per active backend).",
-            [({**base, "backend": str(name)}, 1) for name in backends],
-        )
-
-    cache = metrics.get("cache")
-    if isinstance(cache, Mapping):
-        _render_cache(out, base, cache)
-
-    adaptive = metrics.get("adaptive")
-    if isinstance(adaptive, Mapping):
-        out.family(
-            "adaptive_ticks_total",
-            "counter",
-            "Adaptive controller ticks.",
-            [(base, _num(adaptive, "ticks"))],
-        )
-        out.family(
-            "adaptive_adjustments_total",
-            "counter",
-            "Adaptive controller config changes applied.",
-            [(base, _num(adaptive, "adjustments"))],
-        )
-        out.family(
-            "adaptive_batch_size",
-            "gauge",
-            "Current adaptive max batch size.",
-            [(base, _num(adaptive, "batch_size"))],
-        )
-
-    delta = metrics.get("delta")
-    if isinstance(delta, Mapping):
-        for key, name, help_text in (
-            ("frames", "delta_frames_total", "Stream frames computed via the dirty-tile path."),
-            ("tiles_reused", "delta_tiles_reused_total", "Delta tiles reused, not recomputed."),
-            (
-                "tiles_recomputed",
-                "delta_tiles_recomputed_total",
-                "Delta tiles re-segmented because their content changed.",
-            ),
-        ):
-            out.family(name, "counter", help_text, [(base, _num(delta, key))])
-        out.family(
-            "delta_reuse_ratio",
-            "gauge",
-            "Reused tiles over all delta tiles processed.",
-            [(base, _num(delta, "reuse_ratio"))],
-        )
-        out.family(
-            "delta_streams",
-            "gauge",
-            "Temporal streams with a committed ancestor.",
-            [(base, _num(delta, "streams"))],
-        )
-
-    trace = metrics.get("trace")
-    if isinstance(trace, Mapping):
-        for key, name, help_text in (
-            ("started", "trace_started_total", "Traces considered (one per request)."),
-            ("recorded", "trace_recorded_total", "Traces recorded into the flight recorder."),
-            ("sampled_out", "trace_sampled_out_total", "Traces skipped by sampling."),
-        ):
-            out.family(name, "counter", help_text, [(base, _num(trace, key))])
-        out.family(
-            "trace_retained",
-            "gauge",
-            "Traces currently retained in the ring.",
-            [(base, _num(trace, "retained"))],
-        )
-
-    http = metrics.get("http")
-    if isinstance(http, Mapping):
-        out.family(
-            "http_requests_total",
-            "counter",
-            "HTTP requests parsed.",
-            [(base, _num(http, "requests"))],
-        )
-        responses = http.get("responses")
-        if isinstance(responses, Mapping):
-            out.family(
-                "http_responses_total",
-                "counter",
-                "HTTP responses, by status code.",
-                [
-                    ({**base, "code": str(code)}, _num(responses, code))
-                    for code in sorted(responses, key=str)
-                ],
-            )
-        out.family(
-            "http_inflight",
-            "gauge",
-            "HTTP requests currently being handled.",
-            [(base, _num(http, "inflight"))],
-        )
-        out.family(
-            "http_open_connections",
-            "gauge",
-            "Open HTTP connections.",
-            [(base, _num(http, "open_connections"))],
-        )
-        out.family(
-            "http_client_disconnects_total",
-            "counter",
-            "Requests abandoned by client disconnect.",
-            [(base, _num(http, "client_disconnects"))],
-        )
-        out.family(
-            "http_draining",
-            "gauge",
-            "1 while the server is draining.",
-            [(base, _num(http, "draining"))],
-        )
-
+    for metric in METRICS:
+        rows = found.get(metric, [])
+        if metric.kind == "histogram":
+            out.histogram(metric.name, metric.help, rows)
+        elif metric.name:
+            samples = [
+                ({**labels, **extra}, _num(number))
+                for labels, value in rows
+                for extra, number in metric.merge.samples(value)
+            ]
+            out.family(metric.name, metric.kind, metric.help, samples)
     return out.render()
-
-
-_CACHE_COUNTER_KEYS = (
-    ("hits", "cache_hits_total", "Cache hits."),
-    ("misses", "cache_misses_total", "Cache misses."),
-    ("evictions", "cache_evictions_total", "Entries evicted (LRU)."),
-    ("expirations", "cache_expirations_total", "Entries expired (TTL)."),
-    ("puts", "cache_puts_total", "Entries written."),
-    ("stores", "cache_puts_total", "Entries written."),
-    ("rejects", "cache_rejects_total", "Writes rejected (oversized / contended)."),
-    ("promotions", "cache_promotions_total", "Entries promoted from a lower tier."),
-    ("hit_bytes", "cache_hit_bytes_total", "Payload bytes returned by cache hits."),
-    ("corrupt_drops", "cache_corrupt_drops_total", "Corrupt entries dropped."),
-    ("errors", "cache_errors_total", "Cache I/O errors."),
-)
-_CACHE_GAUGE_KEYS = (
-    ("currsize", "cache_entries", "Entries currently cached."),
-    ("entries", "cache_entries", "Entries currently cached."),
-    ("maxsize", "cache_max_entries", "Cache capacity in entries."),
-    ("size_bytes", "cache_size_bytes", "Bytes currently cached."),
-    ("hit_rate", "cache_hit_rate", "Hit rate since start."),
-)
-
-
-def _render_cache(out: _Writer, base: Dict[str, str], cache: Mapping[str, Any]) -> None:
-    """Cache stats, flat (single tier) or nested under tier names."""
-    tiers: List[Tuple[str, Mapping[str, Any]]] = []
-    nested = [
-        (str(name), stats)
-        for name, stats in cache.items()
-        if isinstance(stats, Mapping) and any(k in stats for k, _, _ in _CACHE_COUNTER_KEYS)
-    ]
-    if nested:
-        tiers.extend(sorted(nested))
-    elif any(key in cache for key, _, _ in _CACHE_COUNTER_KEYS):
-        tiers.append(("memory", cache))
-    seen: Dict[str, List[Tuple[Dict[str, str], float]]] = {}
-    help_for: Dict[str, str] = {}
-    for tier, stats in tiers:
-        for key, name, help_text in _CACHE_COUNTER_KEYS + _CACHE_GAUGE_KEYS:
-            value = _num(stats, key)
-            if value is None:
-                continue
-            help_for.setdefault(name, help_text)
-            seen.setdefault(name, []).append(({**base, "tier": tier}, value))
-    gauge_names = {name for _, name, _ in _CACHE_GAUGE_KEYS}
-    for name, samples in seen.items():
-        kind = "gauge" if name in gauge_names else "counter"
-        out.family(name, kind, help_for[name], samples)
 
 
 # ---------------------------------------------------------------------------

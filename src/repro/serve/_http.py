@@ -68,6 +68,7 @@ import base64
 import binascii
 import io
 import json
+import re
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs
 
@@ -104,6 +105,9 @@ _MAX_HEADER_BYTES = 32 * 1024
 
 #: Magic prefix of the npy serialization format.
 _NPY_MAGIC = b"\x93NUMPY"
+
+#: RFC 9110 §5.1 field-name = token (no whitespace, so no "Host :" or obs-fold).
+_FIELD_NAME_RE = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
 
 _STATUS_PHRASES = {
     200: "OK",
@@ -453,7 +457,10 @@ class HttpSegmentationServer:
             name, sep, value = line.partition(":")
             if not sep:
                 raise _HttpError(400, f"malformed header line {line!r}")
-            name, value = name.strip().lower(), value.strip()
+            if not _FIELD_NAME_RE.fullmatch(name):
+                # RFC 9112 §5.1/§5.2: no "Host :" and no obs-fold continuations.
+                raise _HttpError(400, f"invalid header field name {name!r}")
+            name, value = name.lower(), value.strip()
             if name == "content-length" and headers.get(name, value) != value:
                 # RFC 9112 §6.3: conflicting lengths make the framing ambiguous.
                 raise _HttpError(400, "conflicting Content-Length headers")

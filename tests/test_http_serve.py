@@ -373,11 +373,21 @@ def test_unknown_route_404_wrong_method_405_missing_length_411(rng):
         (b"Content-Length: 5\r\nContent-Length: 10\r\n\r\nhelloworld", 400),
         (b"Transfer-Encoding: chunked\r\nContent-Length: 5\r\n\r\n0\r\n\r\n", 501),
         (b"Transfer-Encoding: chunked\r\n\r\n0\r\n\r\n", 501),
+        (b"Content-Length : 5\r\n\r\nhello", 400),
+        (b"X-Note: a\r\n Content-Length: 5\r\n\r\nhello", 400),
     ],
-    ids=["signed-length", "underscored-length", "conflicting-lengths", "te-and-cl", "te-only"],
+    ids=[
+        "signed-length",
+        "underscored-length",
+        "conflicting-lengths",
+        "te-and-cl",
+        "te-only",
+        "space-before-colon",
+        "obs-fold",
+    ],
 )
 def test_ambiguous_request_framing_is_refused_and_closed(framing, status):
-    """RFC 9112 §6.1-6.3: framing the server cannot trust is refused outright.
+    """RFC 9112 §5.1-5.2, §6.1-6.3: framing the server cannot trust is refused outright.
 
     Each request would otherwise be answered 200 (``/healthz``), with the
     body framed by a length the sender may not have meant.
