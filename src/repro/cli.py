@@ -688,7 +688,7 @@ def _run_fleet_serve(  # pragma: no cover - driven via subprocess in the CLI tes
         "parameters": {"theta": theta_used, "seed": spec.seed},
         "fleet": metrics.get("fleet", {}),
         "metrics": metrics,
-        "http": metrics.get("http") or {},
+        "http": metrics["http"],
     }
     payload = json.dumps(report, indent=2, sort_keys=True)
     if args.report:

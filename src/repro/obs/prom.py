@@ -21,7 +21,7 @@ import re
 import sys
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from .schema import METRICS, Metric, leaves
+from .schema import METRICS, NAMESPACE, Metric, leaves
 
 __all__ = ["render_prometheus", "validate_exposition", "main"]
 
@@ -125,13 +125,9 @@ def _is_sketch(sketch: Any) -> bool:
     )
 
 
-def _num(value: Any) -> Optional[float]:
-    return float(value) if isinstance(value, (int, float)) else None
-
-
 def render_prometheus(
     metrics: Mapping[str, Any],
-    namespace: str = "repro",
+    namespace: str = NAMESPACE,
     extra_labels: Optional[Dict[str, str]] = None,
 ) -> str:
     """Render a metrics tree: one family per named schema entry that has samples.
@@ -150,7 +146,7 @@ def render_prometheus(
             out.histogram(metric.name, metric.help, rows)
         elif metric.name:
             samples = [
-                ({**labels, **extra}, _num(number))
+                ({**labels, **extra}, number if isinstance(number, (int, float)) else None)
                 for labels, value in rows
                 for extra, number in metric.merge.samples(value)
             ]

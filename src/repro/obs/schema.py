@@ -18,9 +18,9 @@ from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Seque
 
 from ..metrics.runtime import merge_sketches, summarize_sketch
 
-__all__ = ["METRICS", "Metric", "family_names", "leaves", "merge", "reference_table"]
+__all__ = ["METRICS", "NAMESPACE", "Metric", "family_names", "leaves", "merge", "reference_table"]
 
-_OMIT = object()  # a reducer's "nothing to emit"
+NAMESPACE = "repro"  # the prefix of every Prometheus family
 _Samples = List[Tuple[Dict[str, str], Any]]
 
 
@@ -42,35 +42,26 @@ def _lookup(doc: Any, path: str) -> Any:
 class Reducer:
     """How the fleet combines one key: ``fold`` maps the reported values to one.
 
-    A ``derived`` reducer recomputes its key from the merged section, after
-    the section's other keys.  ``samples`` maps a value to Prometheus
-    ``(extra labels, number)`` pairs.
+    :meth:`reduce` writes the merged value into ``merged``, and only if some
+    worker reported the key.  A ``derived`` reducer recomputes its key from
+    the merged section, after the section's other keys.
     """
 
     derived = False
+    labels: Tuple[str, ...] = ()  # the Prometheus labels :meth:`samples` adds
 
-    def __init__(
-        self,
-        label: str,
-        fold: Optional[Callable[[List[Any]], Any]] = None,
-        *,
-        always: bool = False,
-        into: Optional[str] = None,
-        labels: Tuple[str, ...] = (),
-        samples: Optional[Callable[[Any], _Samples]] = None,
-    ):
+    def __init__(self, label: str, fold: Optional[Callable[[List[Any]], Any]] = None):
         self.label = label
         self._fold = fold
-        self.always = always  # emit even when no worker reported the key
-        self.into = into  # the merged key, when it is not the reported one
-        self.labels = labels  # the Prometheus labels ``samples`` adds
-        self.samples: Callable[[Any], _Samples] = samples or (lambda value: [({}, value)])
 
-    def __call__(self, key: str, docs: Sequence[Mapping[str, Any]], merged: Dict[str, Any]) -> Any:
+    def reduce(self, key: str, docs: Sequence[Mapping[str, Any]], merged: Dict[str, Any]) -> None:
         values = [doc[key] for doc in docs if key in doc]
-        if self._fold is None or not (values or self.always):
-            return _OMIT
-        return self._fold(values)
+        if self._fold is not None and values:
+            merged[key] = self._fold(values)
+
+    def samples(self, value: Any) -> _Samples:
+        """One merged value as Prometheus ``(extra labels, number)`` pairs."""
+        return [({}, value)]
 
 
 class WeightedMean(Reducer):
@@ -78,32 +69,30 @@ class WeightedMean(Reducer):
         super().__init__(f"mean weighted by `{weight}`")
         self.weight = weight
 
-    def __call__(self, key, docs, merged):
+    def reduce(self, key, docs, merged):
         reporting = [doc for doc in docs if key in doc]
-        if not reporting:
-            return _OMIT
-        weights = [_number(doc.get(self.weight, 0)) for doc in reporting]
-        total = sum(_number(doc[key]) * weight for doc, weight in zip(reporting, weights))
-        return total / sum(weights) if sum(weights) else 0.0
+        if reporting:
+            weights = [_number(doc.get(self.weight, 0)) for doc in reporting]
+            total = sum(_number(doc[key]) * weight for doc, weight in zip(reporting, weights))
+            merged[key] = total / sum(weights) if sum(weights) else 0.0
 
 
 class Ratio(Reducer):
-    """``"a + b"`` over ``"c + d"``: sums of paths in the merged section."""
+    """The sum of ``numerator`` paths over the sum of ``denominator`` paths."""
 
     derived = True
 
-    def __init__(self, numerator: str, denominator: str):
-        super().__init__(f"ratio ({numerator}) / ({denominator})")
-        self.numerator = numerator.split(" + ")
-        self.denominator = denominator.split(" + ")
+    def __init__(self, numerator: Tuple[str, ...], denominator: Tuple[str, ...]):
+        super().__init__(f"ratio ({' + '.join(numerator)}) / ({' + '.join(denominator)})")
+        self.numerator = numerator
+        self.denominator = denominator
 
-    def __call__(self, key, docs, merged):
+    def reduce(self, key, docs, merged):
         below = [_lookup(merged, path) for path in self.denominator]
-        if all(value is None for value in below):
-            return _OMIT
-        total = sum(_number(value) for value in below)
-        above = sum(_number(_lookup(merged, path)) for path in self.numerator)
-        return above / total if total else 0.0
+        if any(value is not None for value in below):
+            total = sum(_number(value) for value in below)
+            above = sum(_number(_lookup(merged, path)) for path in self.numerator)
+            merged[key] = above / total if total else 0.0
 
 
 class Summary(Reducer):
@@ -115,8 +104,50 @@ class Summary(Reducer):
         super().__init__(f"summary of merged `{sketch}`")
         self.sketch = sketch
 
-    def __call__(self, key, docs, merged):
-        return summarize_sketch(merged[self.sketch]) if self.sketch in merged else _OMIT
+    def reduce(self, key, docs, merged):
+        if self.sketch in merged:
+            merged[key] = summarize_sketch(merged[self.sketch])
+
+
+class Range(Reducer):
+    """A ``{"min", "max"}`` fold that Prometheus shows as its max."""
+
+    def samples(self, value):
+        return [({}, value.get("max") if isinstance(value, Mapping) else value)]
+
+
+class Slowest(Reducer):
+    """The slowest traced exemplar; ``None`` when no worker has one."""
+
+    labels = ("trace_id",)
+
+    def reduce(self, key, docs, merged):
+        valid = [d[key] for d in docs if isinstance(d.get(key), Mapping) and d[key].get("trace_id")]
+        merged[key] = max(valid, key=lambda e: _number(e.get("seconds", 0.0))) if valid else None
+
+    def samples(self, value):
+        if isinstance(value, Mapping) and value.get("trace_id"):
+            return [({"trace_id": str(value["trace_id"])}, value.get("seconds"))]
+        return []
+
+
+def _names(value: Any) -> List[str]:
+    names = [value] if isinstance(value, str) else value if isinstance(value, list) else []
+    return sorted({str(name) for name in names if name})
+
+
+class Union(Reducer):
+    """Every backend named under ``key``, merged into ``backends``."""
+
+    labels = ("backend",)
+
+    def reduce(self, key, docs, merged):
+        if any(key in doc for doc in docs):
+            names = {*merged.get("backends", ()), *(n for d in docs for n in _names(d.get(key)))}
+            merged["backends"] = sorted(names)
+
+    def samples(self, value):
+        return [({"backend": name}, 1) for name in _names(value)]
 
 
 def _merge_sketches_safe(sketches: List[Any]) -> Dict[str, Any]:
@@ -128,22 +159,6 @@ def _merge_sketches_safe(sketches: List[Any]) -> Dict[str, Any]:
         return merge_sketches([])
 
 
-def _slowest(exemplars: List[Any]) -> Optional[Dict[str, Any]]:
-    valid = [e for e in exemplars if isinstance(e, Mapping) and e.get("trace_id")]
-    return max(valid, key=lambda e: _number(e.get("seconds", 0.0))) if valid else None
-
-
-def _exemplar_samples(value: Any) -> _Samples:
-    if isinstance(value, Mapping) and value.get("trace_id"):
-        return [({"trace_id": str(value["trace_id"])}, value.get("seconds"))]
-    return []
-
-
-def _names(value: Any) -> List[str]:
-    names = [value] if isinstance(value, str) else value if isinstance(value, list) else []
-    return sorted({str(name) for name in names if name})
-
-
 def _nonzero_mean(values: List[Any]) -> float:
     calibrated = [number for number in map(_number, values) if number > 0]
     return sum(calibrated) / len(calibrated) if calibrated else 0.0
@@ -152,22 +167,13 @@ def _nonzero_mean(values: List[Any]) -> float:
 SUM = Reducer("sum", lambda values: sum(_number(value) for value in values))
 MAX = Reducer("max", lambda values: max(_number(value) for value in values))
 NONZERO_MEAN = Reducer("mean of non-zero values", _nonzero_mean)
-RANGE = Reducer(
+RANGE = Range(
     "min/max range",
     lambda values: {"min": min(map(_number, values)), "max": max(map(_number, values))},
-    samples=lambda value: [({}, value.get("max") if isinstance(value, Mapping) else value)],
 )
 SKETCH = Reducer("sketch merge", _merge_sketches_safe)
-SLOWEST = Reducer(
-    "slowest exemplar", _slowest, always=True, labels=("trace_id",), samples=_exemplar_samples
-)
-UNION = Reducer(
-    "union of backends",
-    lambda values: sorted({name for value in values for name in _names(value)}),
-    into="backends",
-    labels=("backend",),
-    samples=lambda value: [({"backend": name}, 1) for name in _names(value)],
-)
+SLOWEST = Slowest("slowest exemplar")
+UNION = Union("union of backends")
 NOT_MERGED = Reducer("not merged")
 
 
@@ -195,6 +201,10 @@ class Metric:
     def labels(self) -> Tuple[str, ...]:
         dims = tuple(segment[1:-1] for segment in self.path.split(".") if segment[:1] == "{")
         return dims + self.merge.labels
+
+
+def _tier_rate(tier: str) -> Ratio:
+    return Ratio((f"{tier}.hits",), (f"{tier}.hits", f"{tier}.misses"))
 
 
 def _under(path: str, family: str, *rows: Tuple[Any, ...]) -> Tuple[Metric, ...]:
@@ -266,17 +276,17 @@ METRICS: Tuple[Metric, ...] = (
         ("size_bytes", MAX, "size_bytes", "Size of the shared-memory segment."),
         ("slot_count", MAX, None, "Slots in the shared-memory ring."),
         ("slot_bytes", MAX, None, "Bytes per shared-memory slot."),
-        ("hit_rate", Ratio("hits", "hits + misses"), "hit_rate", "Hit rate since start."),
+        ("hit_rate", Ratio(("hits",), ("hits", "misses")), "hit_rate", "Hit rate since start."),
     ),
     *_under(
         "cache",
         "cache",
-        ("l1_hit_rate", Ratio("l1.hits", "l1.hits + l1.misses"), None, "L1 hits per lookup."),
-        ("shm_hit_rate", Ratio("shm.hits", "shm.hits + shm.misses"), None, "Shm hits per L1 miss."),
-        ("l2_hit_rate", Ratio("l2.hits", "l2.hits + l2.misses"), None, "L2 hits per L2 lookup."),
+        ("l1_hit_rate", _tier_rate("l1"), None, "L1 hits per lookup."),
+        ("shm_hit_rate", _tier_rate("shm"), None, "Shm hits per L1 miss."),
+        ("l2_hit_rate", _tier_rate("l2"), None, "L2 hits per L2 lookup."),
         (
             "hit_rate",
-            Ratio("l1.hits + shm.hits + l2.hits", "l1.hits + l1.misses"),
+            Ratio(("l1.hits", "shm.hits", "l2.hits"), ("l1.hits", "l1.misses")),
             None,
             "A hit in any tier, per lookup.",
         ),
@@ -302,7 +312,7 @@ METRICS: Tuple[Metric, ...] = (
         ("tiles_recomputed", SUM, "tiles_recomputed_total", "Delta tiles whose content changed."),
         (
             "reuse_ratio",
-            Ratio("tiles_reused", "tiles_reused + tiles_recomputed"),
+            Ratio(("tiles_reused",), ("tiles_reused", "tiles_recomputed")),
             "reuse_ratio",
             "Reused tiles over all delta tiles processed.",
         ),
@@ -358,9 +368,16 @@ def _split(node: Mapping[str, Any]) -> Tuple[Dict[str, Any], Optional[str]]:
     return fixed, next((key for key in node if key[:1] == "{"), None)
 
 
+def _flat_cache(dim: Optional[str], docs: Sequence[Mapping[str, Any]]) -> Dict[str, str]:
+    """``{"tier": "memory"}`` when ``docs`` are caches without tiers, else ``{}``."""
+    if dim != "{tier}" or any(isinstance(v, Mapping) for doc in docs for v in doc.values()):
+        return {}
+    return {"tier": "memory"}
+
+
 def leaves(
     doc: Any,
-    node: Optional[Mapping[str, Any]] = None,
+    node: Mapping[str, Any] = _TREE,
     path: str = "",
     labels: Optional[Dict[str, str]] = None,
 ) -> Iterator[Tuple[str, Optional[Metric], Dict[str, str], Any]]:
@@ -370,16 +387,15 @@ def leaves(
     leaf comes back with ``metric=None`` and its literal path.  Declared
     values (sketches, summaries, exemplars) are not walked into.
     """
-    node = _TREE if node is None else node
     labels = labels or {}
     if not isinstance(doc, Mapping):
         return
     fixed, dim = _split(node)
     loose = sorted((key for key in doc if key not in fixed), key=str)
     per_key = dim is not None and isinstance(node[dim], Metric)
-    if dim == "{tier}" and not any(isinstance(doc[key], Mapping) for key in loose):
-        yield from leaves(doc, node[dim], f"{path}{dim}.", {**labels, "tier": "memory"})
-        loose = []  # a cache without tiers is the one tier "memory"
+    if flat := _flat_cache(dim, [doc]):
+        yield from leaves(doc, node[dim], f"{path}{dim}.", {**labels, **flat})
+        loose = []
     for key, child in fixed.items():
         if key in doc and isinstance(child, Metric):
             yield f"{path}{key}", child, labels, doc[key]
@@ -389,12 +405,10 @@ def leaves(
         value = doc[key]
         if dim is None or not (per_key or isinstance(value, Mapping)):
             yield from _undeclared(value, f"{path}{key}")
-            continue
-        at = {**labels, dim[1:-1]: str(key)}
-        if per_key:
-            yield f"{path}{dim}", node[dim], at, value
+        elif per_key:
+            yield f"{path}{dim}", node[dim], {**labels, dim[1:-1]: str(key)}, value
         else:
-            yield from leaves(value, node[dim], f"{path}{dim}.", at)
+            yield from leaves(value, node[dim], f"{path}{dim}.", {**labels, dim[1:-1]: str(key)})
 
 
 def _undeclared(value: Any, path: str) -> Iterator[Tuple[str, None, Dict[str, str], Any]]:
@@ -405,51 +419,45 @@ def _undeclared(value: Any, path: str) -> Iterator[Tuple[str, None, Dict[str, st
         yield path, None, {}, value
 
 
-def merge(docs: Sequence[Any], node: Optional[Mapping[str, Any]] = None) -> Dict[str, Any]:
+def merge(docs: Sequence[Any], node: Mapping[str, Any] = _TREE) -> Dict[str, Any]:
     """Merge several workers' documents, each key by its declared reducer."""
-    node = _TREE if node is None else node
     docs = [doc for doc in docs if isinstance(doc, Mapping)]
     fixed, dim = _split(node)
     merged: Dict[str, Any] = {}
-
-    def emit(key: str, reducer: Reducer) -> None:
-        value = reducer(key, docs, merged)
-        if value is not _OMIT:
-            merged[reducer.into or key] = value
-
     for key, child in fixed.items():
         if isinstance(child, Metric):
             if not child.merge.derived:
-                emit(key, child.merge)
+                child.merge.reduce(key, docs, merged)
         elif any(key in doc for doc in docs):
             sections = [doc[key] for doc in docs if isinstance(doc.get(key), Mapping)]
             merged[key] = merge(sections, child) if sections else None
     loose = sorted({key for doc in docs for key in doc if key not in fixed}, key=str)
     if dim is not None and isinstance(node[dim], Metric):
         for key in loose:
-            emit(key, node[dim].merge)
+            node[dim].merge.reduce(key, docs, merged)
+    elif _flat_cache(dim, docs):
+        merged.update(merge(docs, node[dim]))
     elif dim is not None:
-        nested = [key for key in loose if any(isinstance(d.get(key), Mapping) for d in docs)]
-        if dim == "{tier}" and not nested:
-            merged.update(merge(docs, node[dim]))  # a cache without tiers
-        for key in nested:
-            merged[key] = merge([doc.get(key) for doc in docs], node[dim])
+        for key in loose:
+            sections = [doc.get(key) for doc in docs]
+            if any(isinstance(section, Mapping) for section in sections):
+                merged[key] = merge(sections, node[dim])
     for key, child in fixed.items():
         if isinstance(child, Metric) and child.merge.derived:
-            emit(key, child.merge)
+            child.merge.reduce(key, docs, merged)
     return merged
 
 
-def family_names(namespace: str = "repro") -> Set[str]:
+def family_names() -> Set[str]:
     """Every declared Prometheus family, namespace included."""
-    return {f"{namespace}_{metric.name}" for metric in METRICS if metric.name}
+    return {f"{NAMESPACE}_{metric.name}" for metric in METRICS if metric.name}
 
 
-def reference_table(namespace: str = "repro") -> str:
+def reference_table() -> str:
     """The README's metrics reference: one markdown row per declaration."""
     rows = [("Family", "Type", "Labels", "`metrics()` path", "Fleet merge", "Help"), ("---",) * 6]
     for metric in METRICS:
-        family = f"`{namespace}_{metric.name}`" if metric.name else "(JSON only)"
+        family = f"`{NAMESPACE}_{metric.name}`" if metric.name else "(JSON only)"
         labels = ", ".join(f"`{label}`" for label in metric.labels) or "—"
         path = " / ".join(f"`{path}`" for path in metric.paths)
         kind = metric.kind if metric.name else "—"

@@ -406,13 +406,8 @@ def merge_worker_metrics(snapshots: List[Dict[str, Any]]) -> Dict[str, Any]:
 
 def _merge_workers(entries: List[Dict[str, Any]]) -> Dict[str, Any]:
     """Merge ``{"metrics": ..., "http": ...}`` worker entries, HTTP included."""
-    return merge_worker_metrics(
-        [
-            {**entry["metrics"], "http": entry.get("http")}
-            for entry in entries
-            if isinstance(entry.get("metrics"), dict)
-        ]
-    )
+    valid = [entry for entry in entries if isinstance(entry.get("metrics"), dict)]
+    return merge_worker_metrics([{**e["metrics"], "http": e.get("http")} for e in valid])
 
 
 # --------------------------------------------------------------------------- #
@@ -899,13 +894,16 @@ class ServeFleet:
 
         Only workers that exited cleanly (SIGTERM drain) report one; a
         SIGKILLed worker's counters die with it and are visible only in
-        earlier live scrapes.
+        earlier live scrapes.  ``http`` always holds ``requests``,
+        ``responses`` and ``draining``, zero when no worker reported.
         """
         with self._lock:
             finals = [
                 handle.final for handle in self._handles.values() if handle.final is not None
             ]
         merged = _merge_workers(finals)
+        http = merged.get("http") or {}
+        merged["http"] = {"requests": 0, "responses": {}, "draining": True, **http}
         merged["fleet"] = self.describe_fleet()
         merged["workers"] = finals
         return merged

@@ -445,3 +445,10 @@ def test_fleet_metrics_with_zero_ready_workers_is_explicit():
     assert merged["scrape_failures"] == 0
     assert merged["workers"] == []
     assert merged["fleet"]["ready"] == 0
+
+
+def test_final_metrics_without_clean_drains_keeps_the_http_report_shape():
+    fleet = ServeFleet(_SPEC, port=0, workers=1)  # never started: no final snapshots
+    final = fleet.final_metrics()
+    assert final["workers"] == []
+    assert final["http"] == {"requests": 0, "responses": {}, "draining": True}

@@ -152,6 +152,12 @@ def test_merged_fleet_view_keeps_the_workers_derived_values(documents):
     assert "tile_shape" not in merged["delta"]  # static config is not merged
 
 
+def test_merge_unions_backend_names_under_either_key():
+    merged = merge_worker_metrics([{"backend": "numpy"}, {"backends": ["cupy", "numpy"]}])
+    assert merged["backends"] == ["cupy", "numpy"]
+    assert "backend" not in merged
+
+
 def test_readme_metrics_reference_matches_the_schema():
     table = schema.reference_table()
     assert table in README.read_text(encoding="utf-8"), (
