@@ -64,7 +64,6 @@ def test_serve_throughput_vs_serial_and_warm_cache(rng, smoke_mode, emit_result)
     service = SegmentationService(
         engine,
         max_batch_size=16,
-        max_wait_seconds=0.002,
         queue_size=2 * count,
         cache=ResultCache(max_entries=2 * count),
     )

@@ -43,9 +43,7 @@ def make_service(cache_dir):
     cache = TieredResultCache(
         l1=ResultCache(max_entries=128), l2=DiskResultCache(cache_dir)
     )
-    return AsyncSegmentationService(
-        engine, cache=cache, max_batch_size=8, max_wait_seconds=0.002, queue_size=512
-    )
+    return AsyncSegmentationService(engine, cache=cache, max_batch_size=8, queue_size=512)
 
 
 async def main():

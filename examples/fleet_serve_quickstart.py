@@ -41,11 +41,7 @@ def make_images(count, side=48, seed=11):
 def main():
     images = make_images(8)
     cache_dir = os.path.join(tempfile.mkdtemp(prefix="repro-fleet-"), "l2")
-    spec = WorkerSpec(
-        max_wait_seconds=0.002,
-        cache_dir=cache_dir,  # every worker shares this persistent L2 tier
-        adaptive=True,  # per-worker control loop tunes batch size + lane weights
-    )
+    spec = WorkerSpec(cache_dir=cache_dir)  # every worker shares this persistent L2 tier
 
     print(f"== fleet of 2 workers, shared L2 at {cache_dir}")
     with ServeFleet(spec, port=0, workers=2) as fleet:
@@ -68,7 +64,10 @@ def main():
         print("\n== aggregated metrics across the fleet")
         print(f"   workers scraped:   {merged['workers_scraped']}")
         print(f"   completed:         {merged['completed']}")
-        print(f"   fleet p99 latency: {merged['latency_seconds']['p99'] * 1e3:.2f} ms")
+        # The one keep-alive connection may have landed on the killed worker,
+        # whose counters went with it: then no surviving worker has a p99.
+        p99 = merged["latency_seconds"]["p99"]
+        print(f"   fleet p99 latency: {'n/a' if p99 is None else f'{p99 * 1e3:.2f} ms'}")
         print(f"   L2 entries:        {merged['cache']['l2']['currsize']}")
 
     print("\n== second fleet over the same cache dir: warm from disk")

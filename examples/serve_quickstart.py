@@ -40,12 +40,10 @@ def main() -> None:
     rgb_service = SegmentationService(
         BatchSegmentationEngine(IQFTSegmenter(thetas=np.pi)),
         max_batch_size=8,
-        max_wait_seconds=0.005,
     )
     gray_service = SegmentationService(
         BatchSegmentationEngine(IQFTGrayscaleSegmenter(theta=2 * np.pi)),
         max_batch_size=8,
-        max_wait_seconds=0.005,
     )
 
     # 2. Submit wave by wave.  Within a wave the futures come back

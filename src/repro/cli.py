@@ -17,7 +17,7 @@ spool directory (or JSONL job lines from stdin with ``-``) and writes per-job
 results plus a ``repro-serve-report/v1`` summary; ``metrics`` scrapes a
 running worker or fleet's ``/v1/metrics`` endpoint and prints a compact
 human summary (throughput, latency percentiles, per-tier cache hit rates,
-lane depths, adaptive state); ``evaluate`` runs the Table-III sweep on a
+lane depths, delta streams); ``evaluate`` runs the Table-III sweep on a
 synthetic dataset and prints the summary table; ``experiment`` regenerates a
 specific table/figure and prints it.
 """
@@ -122,10 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
         "ignored for the serial executor)",
     )
     srv.add_argument("--no-lut", action="store_true", help="disable the LUT fast path")
-    srv.add_argument("--max-batch", type=int, default=16, help="micro-batch flush size")
     srv.add_argument(
-        "--max-wait", type=float, default=0.01,
-        help="micro-batch flush deadline in seconds after the first queued request",
+        "--max-batch", type=int, default=16,
+        help="largest micro-batch: a free worker computes everything queued, "
+        "up to this many requests, at once",
     )
     srv.add_argument("--queue-size", type=int, default=64, help="bounded ingress queue capacity")
     srv.add_argument("--cache-size", type=int, default=256, help="result cache entries (LRU)")
@@ -178,14 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
         "HOST:PORT via SO_REUSEPORT (requires --http; crashes are "
         "restarted with backoff; composes with --cache-dir so all "
         "workers share one disk cache)",
-    )
-    srv.add_argument(
-        "--adaptive",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="adaptive control loop of the service: re-derive "
-        "the micro-batch size and lane weights from live telemetry every "
-        "control tick, bounded (--lane-weights are the floors)",
     )
     srv.add_argument(
         "--max-body-mb", type=float, default=64.0,
@@ -596,7 +588,6 @@ def _build_worker_spec(args: argparse.Namespace, http_mode: bool):
         executor=args.executor,
         jobs=args.jobs,
         max_batch_size=args.max_batch,
-        max_wait_seconds=args.max_wait,
         queue_size=args.queue_size,
         cache_entries=args.cache_size,
         ttl_seconds=args.ttl,
@@ -610,9 +601,8 @@ def _build_worker_spec(args: argparse.Namespace, http_mode: bool):
             if http_mode and args.default_deadline_ms is not None
             else None
         ),
-        adaptive=args.adaptive,
         max_body_bytes=int(args.max_body_mb * 1024 * 1024),
-        shm_bytes=0 if args.no_shm else max(0, int(args.shm_mb * 1024 * 1024)),
+        shm_bytes=0 if args.no_shm else int(args.shm_mb * 1024 * 1024),
         log_format=args.log_format,
         trace_sample_rate=args.trace_sample_rate,
         trace_ring=args.trace_ring,
@@ -710,7 +700,7 @@ def _run_fleet_serve(  # pragma: no cover - driven via subprocess in the CLI tes
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .errors import CacheError
+    from .errors import CacheError, ParameterError
     from .obs import configure_logging
     from .serve import build_report, iter_jsonl_jobs, iter_spool_jobs, run_jobs_async
 
@@ -739,16 +729,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     fleet_mode = http_mode and args.workers is not None
     try:
         if args.workers is not None and args.workers < 1:
-            from .errors import ParameterError
-
             raise ParameterError("--workers must be >= 1")
         if http_mode and int(args.max_body_mb * 1024 * 1024) < 1:
-            from .errors import ParameterError
-
             raise ParameterError("--max-body-mb must allow at least one byte")
+        if args.shm_mb < 0:
+            raise ParameterError(f"--shm-mb must be >= 0, got {args.shm_mb:g}")
+        if not 0.0 <= args.trace_sample_rate <= 1.0:
+            raise ParameterError(
+                f"--trace-sample-rate must be in [0, 1], got {args.trace_sample_rate:g}"
+            )
         if args.backend and "," in args.backend and not fleet_mode:
-            from .errors import ParameterError
-
             raise ParameterError(
                 "a comma-separated --backend list (mixed fleet) requires --workers"
             )
@@ -918,22 +908,6 @@ def _format_metrics_table(snapshot: dict) -> str:
             f"weight={num(lane.get('weight'))} "
             f"p99={ms(lane_latency.get('p99'))}"
         )
-    adaptive = snapshot.get("adaptive")
-    if isinstance(adaptive, dict):
-        batch = adaptive.get("max_batch_size")
-        if isinstance(batch, dict):
-            batch_text = f"{num(batch.get('min'))}..{num(batch.get('max'))}"
-        else:
-            batch_text = str(num(batch))
-        lines.append(
-            "adaptive     "
-            f"ticks={num(adaptive.get('ticks'))} "
-            f"batch_adjustments={num(adaptive.get('batch_adjustments'))} "
-            f"weight_adjustments={num(adaptive.get('weight_adjustments'))} "
-            f"batch_size={batch_text}"
-        )
-    else:
-        lines.append("adaptive     off")
     delta = snapshot.get("delta")
     if isinstance(delta, dict):
         lines.append(

@@ -109,13 +109,6 @@ class Summary(Reducer):
             merged[key] = summarize_sketch(merged[self.sketch])
 
 
-class Range(Reducer):
-    """A ``{"min", "max"}`` fold that Prometheus shows as its max."""
-
-    def samples(self, value):
-        return [({}, value.get("max") if isinstance(value, Mapping) else value)]
-
-
 class Slowest(Reducer):
     """The slowest traced exemplar; ``None`` when no worker has one."""
 
@@ -167,10 +160,6 @@ def _nonzero_mean(values: List[Any]) -> float:
 SUM = Reducer("sum", lambda values: sum(_number(value) for value in values))
 MAX = Reducer("max", lambda values: max(_number(value) for value in values))
 NONZERO_MEAN = Reducer("mean of non-zero values", _nonzero_mean)
-RANGE = Range(
-    "min/max range",
-    lambda values: {"min": min(map(_number, values)), "max": max(map(_number, values))},
-)
 SKETCH = Reducer("sketch merge", _merge_sketches_safe)
 SLOWEST = Slowest("slowest exemplar")
 UNION = Union("union of backends")
@@ -290,17 +279,6 @@ METRICS: Tuple[Metric, ...] = (
             None,
             "A hit in any tier, per lookup.",
         ),
-    ),
-    *_under(
-        "adaptive",
-        "adaptive",
-        ("enabled", MAX, None, "True while the adaptive controller runs."),
-        ("ticks", SUM, "ticks_total", "Adaptive controller ticks."),
-        ("batch_adjustments", SUM, "batch_adjustments_total", "Max batch size changes applied."),
-        ("weight_adjustments", SUM, "weight_adjustments_total", "Lane weight changes applied."),
-        ("max_batch_size", RANGE, "max_batch_size", "Max batch size (a fleet shows its largest)."),
-        ("lane_weights.{lane}", MAX, None, "Lane weight set by the controller."),
-        ("lane_floors.{lane}", MAX, None, "Configured lane weight (the floor)."),
     ),
     *_under(
         "delta",

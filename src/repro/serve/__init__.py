@@ -6,7 +6,8 @@ for request/response traffic:
 * :class:`AsyncSegmentationService` — the one serving core: ``await
   submit(image, priority=..., deadline=..., client_id=...)`` over a bounded
   ingress (backpressure, not OOM) with HIGH/NORMAL/LOW priority lanes
-  (weighted draining), micro-batching (flush on batch size or deadline),
+  (weighted draining), work-conserving micro-batching (a free worker takes
+  everything queued, up to ``max_batch_size``, with no fill timer),
   coalescing of byte-identical images, a content-addressed
   :class:`ResultCache` in front of the engine (LRU + TTL keyed by image
   digest + engine-config digest), per-client token-bucket quotas,
@@ -41,9 +42,7 @@ for request/response traffic:
   SIGTERM drain, and merged metrics/health across the workers.  Fleets may
   mix array backends per worker (``backends=["torch", "numpy"]``) — integer
   fast paths are bit-exact on every backend, so the mixed fleet serves
-  identical answers from one shared cache.  Workers can run the adaptive
-  control loop (:class:`AdaptiveController`): batch size and lane weights
-  re-derived each tick from live telemetry, within bounds.
+  identical answers from one shared cache.
   CLI: ``repro-segment serve --http HOST:PORT --workers N [--backend ...]``.
 * the spool job sources behind ``repro-segment serve``: a watched spool
   directory or JSONL job lines (with optional per-job priority and
@@ -82,8 +81,6 @@ _EXPORTS = {
     "AsyncSegmentationService": "_aio",
     "Priority": "_aio",
     "TokenBucket": "_aio",
-    "AdaptiveConfig": "_batcher",
-    "AdaptiveController": "_batcher",
     "ServeFleet": "_fleet",
     "WorkerSpec": "_fleet",
     "merge_worker_metrics": "_fleet",
@@ -128,7 +125,6 @@ def __dir__():
 
 if TYPE_CHECKING:  # pragma: no cover - static analysis only
     from ._aio import AsyncSegmentationService, Priority, TokenBucket
-    from ._batcher import AdaptiveConfig, AdaptiveController
     from ._cache import (
         CacheStats,
         ResultCache,

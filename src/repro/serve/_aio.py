@@ -8,6 +8,11 @@ blocking :class:`~repro.serve.SegmentationService` is a facade that runs it
 on a private event-loop thread.  Its ingress is a *multi-lane* queue that
 knows about request urgency:
 
+* **work-conserving micro-batching** — whenever the worker is free it takes
+  everything queued (up to ``max_batch_size``) as one batch and computes it
+  at once: batches hold the requests that arrived while the previous batch
+  computed, so they grow with load and a lone request never waits on a
+  fill timer.
 * **priority lanes** — every request lands in the HIGH, NORMAL or LOW lane
   (:class:`Priority`).  Batches are assembled by *weighted* draining (default
   4:2:1), so HIGH-lane latency stays bounded while a saturating LOW-lane
@@ -66,9 +71,7 @@ from ..errors import (
     ServiceOverloadedError,
 )
 from ..metrics.runtime import LatencyRecorder
-from ..obs.log import get_logger
 from ..obs.trace import Trace, Tracer
-from ._batcher import AdaptiveConfig, AdaptiveController
 from ._cache import (
     CacheKey,
     ResultCache,
@@ -265,9 +268,9 @@ class AsyncSegmentationService:
     ----------
     engine:
         The engine doing the work; its executor computes each micro-batch.
-    max_batch_size, max_wait_seconds:
-        Micro-batching knobs: flush a batch at this size, or this long after
-        traffic started accumulating.
+    max_batch_size:
+        Largest micro-batch; a free worker takes whatever is queued, up to
+        this many requests, and computes it at once (no fill timer).
     queue_size:
         Bound on the *total* number of queued requests across all lanes;
         submits beyond it raise :class:`~repro.errors.ServiceOverloadedError`.
@@ -284,21 +287,6 @@ class AsyncSegmentationService:
     default_deadline:
         Deadline in seconds applied to submits that do not pass their own
         (``None`` = no deadline).
-    adaptive:
-        Enable the adaptive control loop: every
-        ``adaptive_config.tick_seconds`` the service re-derives its
-        micro-batch flush size and lane drain weights from the EWMA service
-        time and per-lane depth/shed telemetry
-        (:class:`~repro.serve.AdaptiveController`).  The configured
-        ``lane_weights`` become the per-lane floors and ``max_batch_size``
-        the default batch-size ceiling — adaptation shrinks and regrows
-        batches inside ``[1, max_batch_size]``, never past the configured
-        bound.  Chosen values plus adjustment counts are reported under
-        ``metrics()["adaptive"]``.
-    adaptive_config:
-        Overrides the control-loop corridor and cadence
-        (:class:`~repro.serve.AdaptiveConfig`); when given, its
-        ``max_batch_size`` replaces the default configured-value ceiling.
     clock:
         Monotonic time source, injectable for deterministic tests.
     tracer:
@@ -327,15 +315,12 @@ class AsyncSegmentationService:
         self,
         engine: BatchSegmentationEngine,
         max_batch_size: int = 16,
-        max_wait_seconds: float = 0.005,
         queue_size: int = 256,
         cache: Any = "default",
         lane_weights: Optional[Dict[Priority, int]] = None,
         client_rate: Optional[float] = None,
         client_burst: Optional[float] = None,
         default_deadline: Optional[float] = None,
-        adaptive: bool = False,
-        adaptive_config: Optional[AdaptiveConfig] = None,
         clock: Callable[[], float] = time.monotonic,
         tracer: Optional[Tracer] = None,
         delta: bool = True,
@@ -346,8 +331,6 @@ class AsyncSegmentationService:
             raise ParameterError("engine must be a BatchSegmentationEngine instance")
         if max_batch_size < 1:
             raise ParameterError("max_batch_size must be >= 1")
-        if max_wait_seconds < 0:
-            raise ParameterError("max_wait_seconds must be >= 0")
         if queue_size < 1:
             raise ParameterError("queue_size must be >= 1")
         if default_deadline is not None and default_deadline <= 0:
@@ -361,7 +344,6 @@ class AsyncSegmentationService:
             raise ParameterError('cache must provide get/put, be None, or "default"')
         self.cache = cache
         self.max_batch_size = int(max_batch_size)
-        self.max_wait_seconds = float(max_wait_seconds)
         self.queue_size = int(queue_size)
         self.default_deadline = default_deadline
         weights = dict(DEFAULT_LANE_WEIGHTS)
@@ -371,22 +353,6 @@ class AsyncSegmentationService:
         if any(weight < 1 for weight in weights.values()):
             raise ParameterError("lane weights must be >= 1")
         self.lane_weights = weights
-        self._base_lane_weights = dict(weights)
-        self._adaptive: Optional[AdaptiveController] = None
-        if adaptive:
-            if adaptive_config is None:
-                # The configured batch size stays the hard ceiling: adaptive
-                # may shrink batches under load and grow them back, but it
-                # must never override the caller's explicit --max-batch
-                # bound.  An explicit adaptive_config replaces this corridor.
-                adaptive_config = AdaptiveConfig(max_batch_size=int(max_batch_size))
-            self._adaptive = AdaptiveController(
-                adaptive_config,
-                batch_size=int(max_batch_size),
-                lane_weights=weights,
-            )
-            # The controller may clamp the starting size into its corridor.
-            self.max_batch_size = self._adaptive.batch_size
         if client_rate is not None and client_rate <= 0:
             raise ParameterError("client_rate must be positive or None")
         self.client_rate = client_rate
@@ -848,61 +814,21 @@ class AsyncSegmentationService:
     # ------------------------------------------------------------------ #
     # worker
     # ------------------------------------------------------------------ #
-    def _maybe_adapt(self) -> None:
-        """One bounded control tick: re-derive batch size and lane weights."""
-        controller = self._adaptive
-        if controller is None:
-            return
-        now = self._clock()
-        if not controller.due(now):
-            return
-        lane_stats = {
-            lane: {
-                "depth": len(state.queue),
-                "shed": state.shed_admission + state.shed_expired,
-            }
-            for lane, state in self._lanes.items()
-        }
-        batch_size, weights, changed = controller.update(
-            now, self._ewma_request_seconds, lane_stats
-        )
-        self.max_batch_size = batch_size
-        self.lane_weights = weights
-        if changed:
-            get_logger().info(
-                "adaptive.adjust",
-                batch_size=batch_size,
-                lane_weights={lane.name.lower(): weights[lane] for lane in Priority},
-                ewma_request_seconds=self._ewma_request_seconds,
-            )
-
     async def _worker_loop(self) -> None:
+        """Work-conserving: whenever free, compute what is queued as one batch."""
         assert self._wakeup is not None and self._loop is not None
         while True:
-            self._maybe_adapt()
-            # Phase 1: wait for traffic (or for close + empty lanes, with no
-            # submit still on its way into a lane).
+            # Wait for traffic (or for close + empty lanes, with no submit
+            # still on its way into a lane).
             while self._queue_depth() == 0:
                 if self._closed and self._admitting == 0:
                     return
-                self._maybe_adapt()
                 self._wakeup.clear()
                 try:
                     await asyncio.wait_for(self._wakeup.wait(), timeout=_IDLE_POLL_SECONDS)
                 except asyncio.TimeoutError:
                     continue
-            # Phase 2: let the batch fill until size or deadline (skipped when
-            # draining a close — waiting would only delay the flush).
-            window_started = self._clock()
-            while not self._closed and self._queue_depth() < self.max_batch_size:
-                remaining = self.max_wait_seconds - (self._clock() - window_started)
-                if remaining <= 0:
-                    break
-                self._wakeup.clear()
-                try:
-                    await asyncio.wait_for(self._wakeup.wait(), timeout=remaining)
-                except asyncio.TimeoutError:
-                    break
+            assembled = self._clock()
             batch = self._drain_batch()
             if not batch:
                 continue
@@ -911,7 +837,7 @@ class AsyncSegmentationService:
                 if request.trace is not None:
                     request.trace.add(
                         "batch.assemble",
-                        window_started,
+                        assembled,
                         started,
                         batch_size=len(batch),
                     )
@@ -1200,7 +1126,6 @@ class AsyncSegmentationService:
             "mean_batch_size": self._batched_items / self._batches if self._batches else 0.0,
             "ewma_request_seconds": self._ewma_request_seconds,
             "backend": self.engine.backend.name,
-            "adaptive": self._adaptive_metrics(),
             "delta": self._delta_metrics(),
             "cache": cache_stats,
             "trace": self.tracer.counters(),
@@ -1233,22 +1158,6 @@ class AsyncSegmentationService:
             "tiles_reused": self._delta_tiles_reused,
             "tiles_recomputed": self._delta_tiles_recomputed,
             "reuse_ratio": self._delta_tiles_reused / tiles if tiles else 0.0,
-        }
-
-    def _adaptive_metrics(self) -> Optional[Dict[str, Any]]:
-        controller = self._adaptive
-        if controller is None:
-            return None
-        return {
-            "enabled": True,
-            "ticks": controller.ticks,
-            "batch_adjustments": controller.batch_adjustments,
-            "weight_adjustments": controller.weight_adjustments,
-            "max_batch_size": self.max_batch_size,
-            "lane_weights": {lane.name.lower(): self.lane_weights[lane] for lane in Priority},
-            "lane_floors": {
-                lane.name.lower(): self._base_lane_weights[lane] for lane in Priority
-            },
         }
 
     def capabilities(self) -> Dict[str, Any]:
@@ -1291,13 +1200,11 @@ class AsyncSegmentationService:
             "engine": self.engine.describe(),
             "config_digest": self._config_digest,
             "max_batch_size": self.max_batch_size,
-            "max_wait_seconds": self.max_wait_seconds,
             "queue_size": self.queue_size,
             "lane_weights": {lane.name.lower(): self.lane_weights[lane] for lane in Priority},
             "client_rate": self.client_rate,
             "client_burst": self.client_burst,
             "default_deadline": self.default_deadline,
-            "adaptive": self._adaptive is not None,
             "delta": self._delta.describe() if self._delta is not None else None,
             "cache": repr(self.cache) if self.cache is not None else None,
             "trace_sample_rate": self.tracer.sample_rate,

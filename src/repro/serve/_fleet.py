@@ -48,7 +48,7 @@ merged histogram sketches, never from averaged percentiles).
 worker is accepting connections.
 
 CLI: ``repro-segment serve --http HOST:PORT --workers N`` (composes with
-``--cache-dir``, ``--lane-weights``, ``--adaptive``).
+``--cache-dir``, ``--lane-weights``, ``--max-batch``).
 """
 
 from __future__ import annotations
@@ -91,7 +91,6 @@ class WorkerSpec:
     executor: str = "serial"
     jobs: Optional[int] = None
     max_batch_size: int = 16
-    max_wait_seconds: float = 0.01
     queue_size: int = 256
     cache_entries: int = 256
     ttl_seconds: Optional[float] = None
@@ -101,8 +100,6 @@ class WorkerSpec:
     client_rate: Optional[float] = None
     client_burst: Optional[float] = None
     default_deadline_seconds: Optional[float] = None
-    adaptive: bool = False
-    adaptive_config: Optional[Any] = None  # serve.batcher.AdaptiveConfig
     max_body_bytes: int = DEFAULT_MAX_BODY_BYTES
     #: Shared-memory L1.5 tier: total segment size in bytes (0 disables) and
     #: per-slot capacity (0 = library default).  ``shm_name`` is filled in by
@@ -163,9 +160,10 @@ class WorkerSpec:
         if self.shm_name:
             try:
                 shm = SharedMemoryResultCache.attach(self.shm_name, ttl_seconds=self.ttl_seconds)
-            except CacheError:
+            except CacheError as exc:
                 # /dev/shm gone, segment unlinked, or an alien superblock:
                 # the worker degrades to memory + disk rather than failing.
+                get_logger().warning("cache.shm_attach_failed", name=self.shm_name, error=str(exc))
                 shm = None
         if self.cache_dir is None:
             if shm is None:
@@ -195,15 +193,12 @@ class WorkerSpec:
         return AsyncSegmentationService(
             engine,
             max_batch_size=self.max_batch_size,
-            max_wait_seconds=self.max_wait_seconds,
             queue_size=self.queue_size,
             cache=self.build_cache(),
             lane_weights=dict(self.lane_weights) if self.lane_weights else None,
             client_rate=self.client_rate,
             client_burst=self.client_burst,
             default_deadline=self.default_deadline_seconds,
-            adaptive=self.adaptive,
-            adaptive_config=self.adaptive_config,
             tracer=Tracer(sample_rate=self.trace_sample_rate, ring_size=self.trace_ring),
             delta=self.delta,
             delta_tile_shape=(
@@ -611,6 +606,9 @@ class ServeFleet:
                 ttl_seconds=self.spec.ttl_seconds,
             )
         except CacheError as exc:
+            get_logger().warning(
+                "fleet.shm_create_failed", size_bytes=self.spec.shm_bytes, error=str(exc)
+            )
             self._shm_desc = {"enabled": False, "error": str(exc)}
             return
         self._shm_desc = {

@@ -61,9 +61,10 @@ class SegmentationService:
     engine:
         The :class:`~repro.engine.BatchSegmentationEngine` that does the
         actual work (its executor scatters each micro-batch).
-    max_batch_size, max_wait_seconds, queue_size:
-        Flush a batch at this size or this long after traffic started
-        accumulating; at most ``queue_size`` requests wait in the queue.
+    max_batch_size, queue_size:
+        A free worker computes whatever is queued as one batch of at most
+        ``max_batch_size`` (no fill timer); at most ``queue_size`` requests
+        wait in the queue.
     cache:
         ``None`` to disable caching, the string ``"default"`` for a
         256-entry in-memory LRU, or any object with ``get(key) ->
@@ -88,7 +89,6 @@ class SegmentationService:
         self,
         engine: BatchSegmentationEngine,
         max_batch_size: int = 16,
-        max_wait_seconds: float = 0.005,
         queue_size: int = 64,
         cache: Any = "default",
         clock: Callable[[], float] = time.monotonic,
@@ -97,7 +97,6 @@ class SegmentationService:
         self._core = AsyncSegmentationService(
             engine,
             max_batch_size=max_batch_size,
-            max_wait_seconds=max_wait_seconds,
             queue_size=queue_size,
             cache=cache,
             clock=clock,

@@ -446,6 +446,19 @@ def test_serve_requires_a_source_unless_http(tmp_path, capsys):
     assert main(["serve", "--http", "127.0.0.1:8080", "--max-body-mb", "0"]) == 2
 
 
+def test_serve_rejects_a_negative_shm_size(capsys):
+    """``--shm-mb -5`` is an error, not a silent way to turn the ring off."""
+    assert main(["serve", "--http", "127.0.0.1:0", "--workers", "2", "--shm-mb", "-5"]) == 2
+    assert "--shm-mb must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rate", ["2", "-0.5", "nan"])
+def test_serve_rejects_a_trace_sample_rate_outside_the_unit_interval(capsys, rate):
+    """A rate outside [0, 1] is an error, not silently clamped by the tracer."""
+    assert main(["serve", "--http", "127.0.0.1:0", "--trace-sample-rate", rate]) == 2
+    assert "--trace-sample-rate must be in [0, 1]" in capsys.readouterr().err
+
+
 def test_serve_http_bind_failure_exits_2_with_an_error_line(capsys):
     import socket
 

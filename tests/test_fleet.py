@@ -22,7 +22,7 @@ from repro.serve import SegmentClient, ServeFleet, WorkerSpec, merge_worker_metr
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
-_SPEC = WorkerSpec(max_wait_seconds=0.002, max_batch_size=8)
+_SPEC = WorkerSpec(max_batch_size=8)
 
 
 def _fleet(workers=2, **kwargs):
@@ -72,12 +72,7 @@ def _snapshot(completed, l2_hits=0, weight=4, latency=0.01):
                 "latency_sketch": recorder.sketch(),
             }
         },
-        "adaptive": {
-            "ticks": 3,
-            "batch_adjustments": 1,
-            "weight_adjustments": 2,
-            "max_batch_size": weight,
-        },
+        "delta": {"frames": 3, "tiles_reused": 1, "tiles_recomputed": 2},
         "cache": {
             "l1": {"hits": 1, "misses": 2, "currsize": 3, "maxsize": 256},
             "l2": {
@@ -104,7 +99,7 @@ def test_merge_sums_counters_and_merges_lanes():
     assert merged["lanes"]["high"]["completed"] == 8
     assert merged["lanes"]["high"]["latency_seconds"]["count"] == 8.0
     assert merged["latency_sketch"]["count"] == 8
-    assert merged["adaptive"]["ticks"] == 6
+    assert merged["delta"]["frames"] == 6
 
 
 def test_merge_takes_max_for_shared_l2_gauges():
@@ -210,7 +205,7 @@ def test_fleet_single_listener_fallback_serves(rng):
 def test_fleet_shares_one_disk_cache_and_restarts_warm(tmp_path, rng):
     image = _image(rng)
     expected = _expected_labels(image)
-    spec = WorkerSpec(max_wait_seconds=0.002, cache_dir=str(tmp_path / "l2"))
+    spec = WorkerSpec(cache_dir=str(tmp_path / "l2"))
     with _fleet(workers=2, spec=spec) as fleet:
         assert fleet.wait_ready(60)
         with SegmentClient("127.0.0.1", fleet.port, timeout=60) as client:
@@ -295,7 +290,6 @@ def test_fleet_shm_tier_survives_sigkill_and_never_leaks(tmp_path, rng):
     image_a, image_b = _image(rng), _image(rng)
     expected_a, expected_b = _expected_labels(image_a), _expected_labels(image_b)
     spec = WorkerSpec(
-        max_wait_seconds=0.002,
         cache_dir=str(tmp_path / "l2"),
         cache_entries=1,  # tiny L1: repeats must come from the shm ring
         shm_bytes=8 * 1024 * 1024,
@@ -336,14 +330,20 @@ def test_fleet_shm_tier_survives_sigkill_and_never_leaks(tmp_path, rng):
         assert not os.path.exists(f"/dev/shm/{segment_name}")
 
 
-def test_fleet_degrades_cleanly_when_shm_cannot_be_created(rng):
-    """An unusable shm size downgrades the fleet instead of failing start."""
-    spec = WorkerSpec(max_wait_seconds=0.002, shm_bytes=128)  # < one slot
+def test_fleet_degrades_cleanly_when_shm_cannot_be_created(rng, capsys):
+    """An unusable shm size downgrades the fleet, loudly, instead of failing start."""
+    spec = WorkerSpec(shm_bytes=128)  # < one slot
     with _fleet(workers=2, spec=spec) as fleet:
         assert fleet.wait_ready(60)
         shm_doc = fleet.metrics()["fleet"]["shm"]
         assert shm_doc["enabled"] is False
         assert "error" in shm_doc
+        (warning,) = [
+            line
+            for line in capsys.readouterr().err.splitlines()
+            if "fleet.shm_create_failed" in line
+        ]
+        assert "warning" in warning.lower() and "error" in warning
         image = _image(rng)
         with SegmentClient("127.0.0.1", fleet.port, timeout=60) as client:
             assert client.segment(image).num_segments >= 1
@@ -365,7 +365,7 @@ def test_merge_tolerates_malformed_counter_values():
     bad["uptime_seconds"] = None
     bad["shed"] = "broken"
     bad["lanes"] = ["broken"]
-    bad["adaptive"] = 7
+    bad["delta"] = 7
     bad["cache"] = "broken"
     merged = merge_worker_metrics([_snapshot(3), bad])
     assert merged["workers_scraped"] == 2
@@ -373,7 +373,7 @@ def test_merge_tolerates_malformed_counter_values():
     assert merged["throughput_rps"] == pytest.approx(3.0)  # NaN -> 0.0
     assert merged["shed"]["admission"] == 1
     assert merged["lanes"]["high"]["completed"] == 3
-    assert merged["adaptive"]["ticks"] == 3
+    assert merged["delta"]["frames"] == 3
     assert merged["cache"]["l1"]["hits"] == 1
 
 

@@ -153,7 +153,7 @@ def _raw(port, raw_bytes):
 def test_segment_raw_png_body_matches_pipeline_run(rng):
     image = _image(rng)
     expected = _engine().pipeline.run(image)
-    with _serve(lambda: AsyncSegmentationService(_engine(), max_wait_seconds=0.001)) as box:
+    with _serve(lambda: AsyncSegmentationService(_engine())) as box:
         response, payload = _post(
             box["port"], "/v1/segment", _png_bytes(image),
             {"Content-Type": "application/octet-stream"},
@@ -170,7 +170,7 @@ def test_segment_raw_png_body_matches_pipeline_run(rng):
 def test_segment_npy_body_and_npy_accept_round_trip(rng):
     image = _image(rng)
     expected = _engine().pipeline.run(image).labels
-    with _serve(lambda: AsyncSegmentationService(_engine(), max_wait_seconds=0.001)) as box:
+    with _serve(lambda: AsyncSegmentationService(_engine())) as box:
         response, payload = _post(
             box["port"], "/v1/segment", _npy_bytes(image),
             {"Content-Type": "application/x-npy", "Accept": "application/x-npy"},
@@ -192,7 +192,7 @@ def test_segment_json_envelope_with_priority_and_lane_accounting(rng):
             "client_id": "tenant-1",
         }
     ).encode("utf-8")
-    with _serve(lambda: AsyncSegmentationService(_engine(), max_wait_seconds=0.001)) as box:
+    with _serve(lambda: AsyncSegmentationService(_engine())) as box:
         response, payload = _post(
             box["port"], "/v1/segment", body, {"Content-Type": "application/json"}
         )
@@ -209,7 +209,7 @@ def test_segment_json_envelope_with_priority_and_lane_accounting(rng):
 def test_segment_client_round_trip_and_cache_hit(rng):
     image = _image(rng)
     expected = _engine().pipeline.run(image).labels
-    with _serve(lambda: AsyncSegmentationService(_engine(), max_wait_seconds=0.001)) as box:
+    with _serve(lambda: AsyncSegmentationService(_engine())) as box:
         with SegmentClient("127.0.0.1", box["port"]) as client:
             cold = client.segment(image, priority="normal", client_id="c1")
             warm = client.segment(image, accept="npy")
@@ -224,7 +224,7 @@ def test_segment_client_round_trip_and_cache_hit(rng):
 
 def test_keep_alive_serves_multiple_requests_per_connection(rng):
     image = _image(rng)
-    with _serve(lambda: AsyncSegmentationService(_engine(), max_wait_seconds=0.001)) as box:
+    with _serve(lambda: AsyncSegmentationService(_engine())) as box:
         conn = http.client.HTTPConnection("127.0.0.1", box["port"], timeout=30)
         try:
             for _ in range(2):
@@ -279,9 +279,7 @@ def test_status_for_exception_table():
 
 def test_quota_exhaustion_returns_429_over_the_wire(rng):
     def factory():
-        return AsyncSegmentationService(
-            _engine(), max_wait_seconds=0.001, client_rate=0.001, client_burst=1
-        )
+        return AsyncSegmentationService(_engine(), client_rate=0.001, client_burst=1)
 
     with _serve(factory) as box:
         with SegmentClient("127.0.0.1", box["port"]) as client:
@@ -293,7 +291,7 @@ def test_quota_exhaustion_returns_429_over_the_wire(rng):
 
 
 def test_expired_deadline_returns_504_over_the_wire(rng):
-    with _serve(lambda: AsyncSegmentationService(_engine(), max_wait_seconds=0.001)) as box:
+    with _serve(lambda: AsyncSegmentationService(_engine())) as box:
         with SegmentClient("127.0.0.1", box["port"]) as client:
             with pytest.raises(DeadlineExceededError):
                 client.segment(_image(rng), deadline_ms=0)
@@ -312,7 +310,7 @@ def test_expired_deadline_returns_504_over_the_wire(rng):
     ],
 )
 def test_malformed_bodies_return_400(rng, body, content_type):
-    with _serve(lambda: AsyncSegmentationService(_engine(), max_wait_seconds=0.001)) as box:
+    with _serve(lambda: AsyncSegmentationService(_engine())) as box:
         response, payload = _post(
             box["port"], "/v1/segment", body, {"Content-Type": content_type}
         )
@@ -321,7 +319,7 @@ def test_malformed_bodies_return_400(rng, body, content_type):
 
 
 def test_bad_priority_and_bad_deadline_return_400(rng):
-    with _serve(lambda: AsyncSegmentationService(_engine(), max_wait_seconds=0.001)) as box:
+    with _serve(lambda: AsyncSegmentationService(_engine())) as box:
         response, _ = _post(
             box["port"], "/v1/segment", _npy_bytes(_image(rng)),
             {"Content-Type": "application/x-npy", "X-Repro-Priority": "urgent"},
@@ -336,7 +334,7 @@ def test_bad_priority_and_bad_deadline_return_400(rng):
 
 def test_oversized_body_returns_413_without_reading_it(rng):
     def factory():
-        return AsyncSegmentationService(_engine(), max_wait_seconds=0.001)
+        return AsyncSegmentationService(_engine())
 
     with _serve(factory, max_body_bytes=1024) as box:
         big = _npy_bytes(np.zeros((64, 64, 3), dtype=np.uint8))
@@ -349,7 +347,7 @@ def test_oversized_body_returns_413_without_reading_it(rng):
 
 
 def test_unknown_route_404_wrong_method_405_missing_length_411(rng):
-    with _serve(lambda: AsyncSegmentationService(_engine(), max_wait_seconds=0.001)) as box:
+    with _serve(lambda: AsyncSegmentationService(_engine())) as box:
         response, _ = _get(box["port"], "/nope")
         assert response.status == 404
         response, _ = _get(box["port"], "/v1/segment")
@@ -392,7 +390,7 @@ def test_ambiguous_request_framing_is_refused_and_closed(framing, status):
     Each request would otherwise be answered 200 (``/healthz``), with the
     body framed by a length the sender may not have meant.
     """
-    with _serve(lambda: AsyncSegmentationService(_engine(), max_wait_seconds=0.001)) as box:
+    with _serve(lambda: AsyncSegmentationService(_engine())) as box:
         with socket.create_connection(("127.0.0.1", box["port"]), timeout=30) as sock:
             sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n" + framing)
             response = b""
@@ -413,7 +411,7 @@ def test_expect_100_continue_is_answered_before_the_body(rng):
     """curl sends Expect: 100-continue for bodies over ~1 KiB and waits."""
     image = _image(rng)
     payload = _npy_bytes(image)
-    with _serve(lambda: AsyncSegmentationService(_engine(), max_wait_seconds=0.001)) as box:
+    with _serve(lambda: AsyncSegmentationService(_engine())) as box:
         with socket.create_connection(("127.0.0.1", box["port"]), timeout=30) as sock:
             head = (
                 f"POST /v1/segment HTTP/1.1\r\nHost: x\r\n"
@@ -443,7 +441,7 @@ def test_metrics_failure_maps_to_500_not_a_dropped_connection(rng):
 
 def test_get_with_a_body_keeps_keepalive_framing_synced(rng):
     """A body on a GET must be consumed, or it poisons the next request."""
-    with _serve(lambda: AsyncSegmentationService(_engine(), max_wait_seconds=0.001)) as box:
+    with _serve(lambda: AsyncSegmentationService(_engine())) as box:
         conn = http.client.HTTPConnection("127.0.0.1", box["port"], timeout=30)
         try:
             conn.request("GET", "/healthz", body=b"hello")  # curl -X GET -d hello
@@ -476,7 +474,7 @@ def test_decode_array_payload_rejects_non_image_arrays():
 # --------------------------------------------------------------------------- #
 def test_healthz_flips_to_draining_before_the_socket_closes(rng):
     image = _image(rng)
-    with _serve(lambda: AsyncSegmentationService(_engine(), max_wait_seconds=0.001)) as box:
+    with _serve(lambda: AsyncSegmentationService(_engine())) as box:
         response, payload = _get(box["port"], "/healthz")
         assert response.status == 200
         assert json.loads(payload)["status"] == "ok"
@@ -515,7 +513,6 @@ def test_graceful_shutdown_drains_inflight_requests(rng):
     def factory():
         return AsyncSegmentationService(
             BatchSegmentationEngine(SlowSegmenter(delay=0.4), use_lut=False),
-            max_wait_seconds=0.001,
             cache=None,
         )
 
@@ -553,7 +550,7 @@ def test_stalled_midbody_client_cannot_wedge_shutdown(rng):
     import time
 
     def factory():
-        return AsyncSegmentationService(_engine(), max_wait_seconds=0.001)
+        return AsyncSegmentationService(_engine())
 
     with _serve(factory, drain_grace_seconds=0.5) as box:
         sock = socket.create_connection(("127.0.0.1", box["port"]), timeout=30)
@@ -584,9 +581,7 @@ def test_concurrent_clients_get_bit_identical_results(rng):
     reference = _engine()
     expected = [reference.pipeline.run(image).labels for image in images]
 
-    with _serve(
-        lambda: AsyncSegmentationService(_engine(), max_wait_seconds=0.001, queue_size=256)
-    ) as box:
+    with _serve(lambda: AsyncSegmentationService(_engine(), queue_size=256)) as box:
         failures = []
 
         def client_loop(worker_index):
@@ -623,7 +618,7 @@ def test_npy_response_bytes_are_exactly_np_save_output(rng):
     reference = io.BytesIO()
     np.save(reference, np.ascontiguousarray(expected), allow_pickle=False)
 
-    with _serve(lambda: AsyncSegmentationService(_engine(), max_wait_seconds=0.001)) as box:
+    with _serve(lambda: AsyncSegmentationService(_engine())) as box:
         response, payload = _post(
             box["port"], "/v1/segment", _npy_bytes(image),
             {"Content-Type": "application/x-npy", "Accept": "application/x-npy"},
@@ -647,7 +642,7 @@ def test_client_reset_midresponse_is_counted_and_releases_inflight(rng):
     image = _image(rng, shape=(500, 500, 3))  # ~2 MB npy response >> buffers
 
     def factory():
-        return AsyncSegmentationService(_engine(), max_wait_seconds=0.001)
+        return AsyncSegmentationService(_engine())
 
     with _serve(factory) as box:
         body = _npy_bytes(image)

@@ -1,8 +1,9 @@
-"""Empty-statistics contract for latency summaries (``repro.metrics.runtime``).
+"""Contract of the latency summaries and sketches (``repro.metrics.runtime``).
 
 Fleet aggregation can scrape a worker before its first request completes, so
 every summary/percentile helper must answer "no data yet" with ``None`` —
-never ``NaN``, never an ``IndexError``, never a fake ``0.0`` latency.
+never ``NaN``, never an ``IndexError``, never a fake ``0.0`` latency.  The
+mergeable sketches count every recorded value and merge conservatively.
 """
 
 import math
@@ -83,3 +84,48 @@ def test_merge_sketches_rejects_mismatched_bounds():
     right = {"bounds": [0.2, 2.0], "counts": [1, 0, 0], "count": 1, "sum_seconds": 0.2}
     with pytest.raises(ValueError):
         merge_sketches([left, right])
+
+
+def test_sketch_counts_every_recorded_value():
+    recorder = LatencyRecorder(max_samples=4)
+    for value in (0.001, 0.002, 0.004, 0.2, 1.5):
+        recorder.record(value)
+    sketch = recorder.sketch()
+    assert sketch["count"] == 5
+    assert sum(sketch["counts"]) == 5  # window is 4, the sketch is all-time
+    assert sketch["sum_seconds"] == pytest.approx(1.707)
+
+
+def test_merged_sketch_percentiles_are_conservative():
+    fast, slow = LatencyRecorder(), LatencyRecorder()
+    for _ in range(99):
+        fast.record(0.001)
+    slow.record(10.0)
+    merged = merge_sketches([fast.sketch(), slow.sketch()])
+    assert merged["count"] == 100
+    # p50 stays in the fast bucket, p99+ must not understate the slow tail
+    assert sketch_percentile(merged, 50.0) <= 0.0032
+    assert sketch_percentile(merged, 99.5) >= 10.0
+    summary = summarize_sketch(merged)
+    assert summary["count"] == 100.0
+    assert summary["mean"] == pytest.approx((99 * 0.001 + 10.0) / 100)
+    assert summary["max"] >= 10.0
+
+
+def test_merge_rejects_mismatched_bounds():
+    sketch = LatencyRecorder().sketch()
+    other = dict(sketch, bounds=list(sketch["bounds"][:-1]))
+    with pytest.raises(ValueError):
+        merge_sketches([sketch, other])
+
+
+def test_merge_of_nothing_is_an_empty_sketch():
+    merged = merge_sketches([])
+    assert merged["count"] == 0
+    # explicit empty contract: None, never a fake 0.0 latency
+    assert sketch_percentile(merged, 99.0) is None
+    summary = summarize_sketch(merged)
+    assert summary["count"] == 0.0
+    assert summary["mean"] is None
+    assert summary["max"] is None
+    assert summary["p99"] is None

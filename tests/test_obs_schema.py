@@ -1,10 +1,10 @@
 """The metrics schema (``repro.obs.schema``) against a fully configured stack.
 
 One service runs every optional producer — a memory + shm + disk tiered
-cache, the adaptive controller, delta streams and tracing at 1.0 — behind a
-real HTTP server, so these checks see every key the serve stack emits: the
-service's ``metrics()``, the server's ``http_metrics()``, a two-worker merge
-and the fleet supervisor's own keys.
+cache, delta streams and tracing at 1.0 — behind a real HTTP server, so
+these checks see every key the serve stack emits: the service's
+``metrics()``, the server's ``http_metrics()``, a two-worker merge and the
+fleet supervisor's own keys.
 """
 
 import asyncio
@@ -46,9 +46,7 @@ async def _drive(cache_dir):
     service = AsyncSegmentationService(
         BatchSegmentationEngine(IQFTSegmenter(thetas=np.pi)),
         cache=cache,
-        adaptive=True,
         tracer=Tracer(sample_rate=1.0),
-        max_wait_seconds=0.001,
         delta_tile_shape=(8, 8),
     )
     first, second = _frames()
@@ -90,13 +88,7 @@ def _families(text):
 def test_configured_service_renders_every_produced_family(documents):
     text = render_prometheus(documents["service"])
     assert validate_exposition(text) == []
-    for family in (
-        "repro_adaptive_batch_adjustments_total",
-        "repro_adaptive_weight_adjustments_total",
-        "repro_adaptive_max_batch_size",
-        "repro_http_request_errors_total",
-    ):
-        assert f"# TYPE {family} " in text, family
+    assert "# TYPE repro_http_request_errors_total " in text
     for sample in (
         'repro_cache_corrupt_dropped_total{tier="l2"}',
         'repro_cache_evicted_bytes_total{tier="l2"}',
@@ -143,10 +135,6 @@ def test_merged_fleet_view_keeps_the_workers_derived_values(documents):
     assert merged["cache"]["shm"]["slot_count"] == service["cache"]["shm"]["slot_count"]
     assert merged["delta"]["reuse_ratio"] == pytest.approx(service["delta"]["reuse_ratio"])
     assert merged["delta"]["enabled"] is True
-    assert merged["adaptive"]["max_batch_size"] == {
-        "min": service["adaptive"]["max_batch_size"],
-        "max": service["adaptive"]["max_batch_size"],
-    }
     assert merged["backends"] == [service["backend"]]
     assert merged["latency_exemplar"] == service["latency_exemplar"]
     assert "tile_shape" not in merged["delta"]  # static config is not merged

@@ -67,7 +67,7 @@ def test_submit_matches_engine_and_serves_cache_hits(rng):
     expected = _engine().segment(image).labels
 
     async def scenario():
-        async with AsyncSegmentationService(_engine(), max_wait_seconds=0.001) as service:
+        async with AsyncSegmentationService(_engine()) as service:
             cold = await service.submit(image)
             warm = await service.submit(image)
             return cold, warm, service.metrics()
@@ -86,7 +86,7 @@ def test_submit_scores_against_ground_truth(rng):
     mask = (rng.random(image.shape[:2]) > 0.5).astype(np.int64)
 
     async def scenario():
-        async with AsyncSegmentationService(_engine(), max_wait_seconds=0.001) as service:
+        async with AsyncSegmentationService(_engine()) as service:
             return await service.submit(image, ground_truth=mask)
 
     result = asyncio.run(scenario())
@@ -97,9 +97,7 @@ def test_map_preserves_order_and_coalesces(rng):
     images = [_image(rng, value=v) for v in (10, 10, 90, 10)]
 
     async def scenario():
-        service = AsyncSegmentationService(
-            _engine(), cache=None, max_batch_size=8, max_wait_seconds=0.2
-        )
+        service = AsyncSegmentationService(_engine(), cache=None, max_batch_size=8)
         async with service:
             results = await service.map(images)
             return results, service.metrics()
@@ -116,7 +114,7 @@ def test_per_request_failures_stay_isolated(rng):
     bad = (rng.random((10, 10)) * 255).astype(np.uint8)  # 2-D input to an RGB method
 
     async def scenario():
-        async with AsyncSegmentationService(_engine(), max_wait_seconds=0.001) as service:
+        async with AsyncSegmentationService(_engine()) as service:
             good_task = asyncio.ensure_future(service.submit(good))
             bad_task = asyncio.ensure_future(service.submit(bad))
             result = await good_task
@@ -204,7 +202,7 @@ def test_lane_metrics_report_depth_and_completions(rng):
     image = _image(rng)
 
     async def scenario():
-        async with AsyncSegmentationService(_engine(), max_wait_seconds=0.001) as service:
+        async with AsyncSegmentationService(_engine()) as service:
             await service.submit(image, priority="high")
             await service.submit(image, priority=Priority.LOW)
             return service.metrics()
@@ -239,7 +237,7 @@ def test_admission_control_uses_the_service_time_estimate(rng):
     image = _image(rng)
 
     async def scenario():
-        service = AsyncSegmentationService(_engine(), max_wait_seconds=0.001)
+        service = AsyncSegmentationService(_engine())
         async with service:
             await service.submit(image)  # calibrate the EWMA
             assert service.estimate_completion_seconds(Priority.NORMAL) > 0.0
@@ -259,9 +257,7 @@ def test_queued_requests_past_deadline_are_shed(rng):
     engine = BatchSegmentationEngine(segmenter)
 
     async def scenario():
-        service = AsyncSegmentationService(
-            engine, cache=None, max_batch_size=1, max_wait_seconds=0.0
-        )
+        service = AsyncSegmentationService(engine, cache=None, max_batch_size=1)
         blocker = asyncio.ensure_future(service.submit(_image(np.random.default_rng(0))))
         await asyncio.get_running_loop().run_in_executor(None, segmenter.entered.wait, 10.0)
         # queued behind the gated batch with a deadline that will expire there
@@ -319,9 +315,7 @@ def test_per_client_quota_rejects_only_the_noisy_client(rng):
     image = _image(rng)
 
     async def scenario():
-        service = AsyncSegmentationService(
-            _engine(), max_wait_seconds=0.001, client_rate=0.001, client_burst=2
-        )
+        service = AsyncSegmentationService(_engine(), client_rate=0.001, client_burst=2)
         async with service:
             await service.submit(image, client_id="noisy")
             await service.submit(image, client_id="noisy")
@@ -340,9 +334,7 @@ def test_full_queues_raise_overloaded(rng):
     engine = BatchSegmentationEngine(segmenter)
 
     async def scenario():
-        service = AsyncSegmentationService(
-            engine, cache=None, max_batch_size=1, max_wait_seconds=0.0, queue_size=2
-        )
+        service = AsyncSegmentationService(engine, cache=None, max_batch_size=1, queue_size=2)
         tasks = [asyncio.ensure_future(service.submit(_image(np.random.default_rng(0))))]
         await asyncio.get_running_loop().run_in_executor(None, segmenter.entered.wait, 10.0)
         # the worker is gated mid-batch; two more submits fill the lanes
@@ -374,7 +366,7 @@ def test_aclose_drains_queued_work(rng):
     images = [_image(rng, value=v) for v in range(8)]
 
     async def scenario():
-        service = AsyncSegmentationService(_engine(), max_batch_size=2, max_wait_seconds=0.001)
+        service = AsyncSegmentationService(_engine(), max_batch_size=2)
         tasks = [asyncio.ensure_future(service.submit(image)) for image in images]
         await asyncio.sleep(0)  # let the submits enqueue
         await service.aclose(drain=True)
@@ -390,9 +382,7 @@ def test_aclose_without_drain_fails_queued_requests(rng):
     engine = BatchSegmentationEngine(segmenter)
 
     async def scenario():
-        service = AsyncSegmentationService(
-            engine, cache=None, max_batch_size=1, max_wait_seconds=0.0
-        )
+        service = AsyncSegmentationService(engine, cache=None, max_batch_size=1)
         running = asyncio.ensure_future(service.submit(_image(np.random.default_rng(0))))
         await asyncio.get_running_loop().run_in_executor(None, segmenter.entered.wait, 10.0)
         queued = [
@@ -451,7 +441,7 @@ def test_describe_and_metrics_shape(rng):
     image = _image(rng)
 
     async def scenario():
-        async with AsyncSegmentationService(_engine(), max_wait_seconds=0.001) as service:
+        async with AsyncSegmentationService(_engine()) as service:
             await service.submit(image)
             return service.describe(), service.metrics()
 
@@ -471,7 +461,7 @@ def test_begin_drain_rejects_new_submits_but_finishes_queued_work(rng):
     image = _image(rng)
 
     async def scenario():
-        service = AsyncSegmentationService(_engine(), max_wait_seconds=0.001)
+        service = AsyncSegmentationService(_engine())
         async with service:
             queued = asyncio.ensure_future(service.submit(image))
             await asyncio.sleep(0)  # let the submit pass its closed check

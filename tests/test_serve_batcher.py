@@ -1,15 +1,18 @@
 """Micro-batching in the serving core.
 
-Batches are assembled by :class:`repro.serve.AsyncSegmentationService` — a
-batch flushes when it reaches ``max_batch_size`` or ``max_wait_seconds``
-after traffic started accumulating, at most ``queue_size`` requests wait,
-and :class:`repro.serve.SegmentationService` is the blocking view of the
-same queue.  These tests pin the batching contract through both.
+Batches are assembled by :class:`repro.serve.AsyncSegmentationService`.
+Batching is work-conserving: a free worker takes everything queued, up to
+``max_batch_size``, and computes it at once, so a batch holds the requests
+that queued while the previous batch computed and a lone request never waits
+for company.  At most ``queue_size`` requests wait, and
+:class:`repro.serve.SegmentationService` is the blocking view of the same
+queue.  These tests pin the batching contract through both; multi-request
+batches are built by queueing behind a batch held on a gate, never by timing.
 """
 
 import asyncio
+import concurrent.futures
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -46,68 +49,95 @@ def _images(count):
     return [np.full((12, 14, 3), value, dtype=np.uint8) for value in range(count)]
 
 
-def _batch_sizes(service):
-    """The ``batch_size`` of the batch each traced request was flushed in."""
+def _assemble_spans(service):
+    """The ``batch.assemble`` span of every traced request."""
     return [
-        span["fields"]["batch_size"]
+        span
         for trace in service.traces(slowest=64)
         for span in trace["spans"]
         if span["name"] == "batch.assemble"
     ]
 
 
+def _batch_sizes(service):
+    """The ``batch_size`` of the batch each traced request was flushed in."""
+    return [span["fields"]["batch_size"] for span in _assemble_spans(service)]
+
+
+def _held_service(max_batch_size, queue_size=16):
+    """A service whose worker is busy computing a gated one-request batch.
+
+    Everything submitted before ``segmenter.gate.set()`` queues behind that
+    batch, so the next batches' shapes depend only on the queue.
+    """
+    segmenter = GatedSegmenter()
+    service = SegmentationService(
+        BatchSegmentationEngine(segmenter),
+        max_batch_size=max_batch_size,
+        queue_size=queue_size,
+        cache=None,
+    )
+    blocker = service.submit(np.full((12, 14, 3), 255, dtype=np.uint8))
+    assert segmenter.entered.wait(10.0)  # the worker is computing the blocker
+    return service, segmenter, blocker
+
+
 def test_flush_on_size_returns_full_batch_immediately():
-    service = SegmentationService(
-        _engine(), max_batch_size=4, max_wait_seconds=30.0, queue_size=16, cache=None
-    )
-    start = time.perf_counter()
-    futures = [service.submit(image) for image in _images(4)]
-    results = [future.result(timeout=10) for future in futures]
-    elapsed = time.perf_counter() - start
-    assert len(results) == 4
-    # a size flush must not wait out the (deliberately huge) deadline
-    assert elapsed < 5.0
-    metrics = service.metrics()
-    assert metrics["batches"] == 1
-    assert metrics["mean_batch_size"] == 4
+    service, segmenter, blocker = _held_service(max_batch_size=4)
+    futures = [service.submit(image) for image in _images(6)]
+    assert service.metrics()["queue_depth"] == 6
+    segmenter.gate.set()
+    results = [future.result(timeout=10) for future in [blocker, *futures]]
+    assert len(results) == 7
     service.close()
+    # the backlog leaves as a full batch, then the remainder
+    assert sorted(_batch_sizes(service)) == [1, 2, 2, 4, 4, 4, 4]
+    metrics = service.metrics()
+    assert metrics["batches"] == 3
+    assert metrics["mean_batch_size"] == pytest.approx(7 / 3)
 
 
-def test_flush_on_deadline_returns_partial_batch():
-    service = SegmentationService(
-        _engine(), max_batch_size=64, max_wait_seconds=0.05, queue_size=16, cache=None
-    )
-    start = time.perf_counter()
-    result = service.submit(_images(1)[0]).result(timeout=10)
-    elapsed = time.perf_counter() - start
-    assert result is not None
-    assert 0.02 <= elapsed < 5.0  # waited for the deadline, not forever
+def test_lone_request_leaves_at_once_as_a_batch_of_one():
+    service = SegmentationService(_engine(), max_batch_size=16, queue_size=16, cache=None)
+    assert service.submit(_images(1)[0]).result(timeout=10) is not None
+    service.close()
+    (span,) = _assemble_spans(service)
+    assert span["fields"]["batch_size"] == 1
+    # no fill window: assembling the batch is a queue drain, not a wait
+    assert span["duration_seconds"] < 0.002
     metrics = service.metrics()
     assert metrics["batches"] == 1
     assert metrics["mean_batch_size"] == 1
+
+
+def test_requests_queued_while_a_batch_computes_leave_as_one_batch():
+    service, segmenter, blocker = _held_service(max_batch_size=16)
+    futures = [service.submit(image) for image in _images(5)]
+    segmenter.gate.set()
+    for future in [blocker, *futures]:
+        assert future.result(timeout=10) is not None
     service.close()
+    assert sorted(_batch_sizes(service)) == [1, 5, 5, 5, 5, 5]
+    assert service.metrics()["batches"] == 2
+    assert all(span["duration_seconds"] < 0.002 for span in _assemble_spans(service))
 
 
 def test_zero_wait_still_flushes_queued_backlog_as_one_batch():
     async def scenario():
-        service = AsyncSegmentationService(
-            _engine(), max_batch_size=16, max_wait_seconds=0.0, queue_size=16, cache=None
-        )
+        service = AsyncSegmentationService(_engine(), max_batch_size=16, queue_size=16, cache=None)
         # every submit queues before the worker first runs
         await asyncio.gather(*(service.submit(image) for image in _images(5)))
         await service.aclose()
         return service.metrics()
 
     metrics = asyncio.run(scenario())
-    # a zero deadline must not degrade a waiting backlog into singletons
+    # with no fill timer, a backlog queued before the worker runs still leaves whole
     assert metrics["batches"] == 1
     assert metrics["mean_batch_size"] == 5
 
 
 def test_batches_preserve_fifo_order_across_flushes():
-    service = SegmentationService(
-        _engine(), max_batch_size=3, max_wait_seconds=0.01, queue_size=16, cache=None
-    )
+    service = SegmentationService(_engine(), max_batch_size=3, queue_size=16, cache=None)
     collected = []
     futures = []
     for index, image in enumerate(_images(7)):
@@ -126,7 +156,6 @@ def test_backpressure_bounded_queue():
     service = SegmentationService(
         BatchSegmentationEngine(segmenter),
         max_batch_size=1,
-        max_wait_seconds=0.0,
         queue_size=2,
         cache=None,
     )
@@ -153,7 +182,6 @@ def test_blocking_put_waits_for_consumer():
     service = SegmentationService(
         BatchSegmentationEngine(segmenter),
         max_batch_size=1,
-        max_wait_seconds=0.0,
         queue_size=1,
         cache=None,
     )
@@ -180,17 +208,14 @@ def test_blocking_put_waits_for_consumer():
 
 
 def test_close_drains_then_returns_none():
-    service = SegmentationService(
-        _engine(), max_batch_size=2, max_wait_seconds=5.0, queue_size=8, cache=None
-    )
+    service, segmenter, blocker = _held_service(max_batch_size=2, queue_size=8)
     futures = [service.submit(image) for image in _images(3)]
-    start = time.perf_counter()
+    segmenter.gate.set()
     service.close()
-    # the close flushes the partial batch without waiting out its deadline
-    assert time.perf_counter() - start < 2.0
-    assert all(future.result(timeout=0) is not None for future in futures)
+    # the close drains the whole backlog before returning
+    assert all(future.result(timeout=0) is not None for future in [blocker, *futures])
     assert service.closed
-    assert service.metrics()["batches"] == 2
+    assert service.metrics()["batches"] == 3
     with pytest.raises(ServiceClosedError):
         service.submit(_images(1)[0])
 
@@ -204,41 +229,40 @@ def test_put_after_close_is_rejected():
 
 
 def test_drain_empties_queue_without_batching():
-    service = SegmentationService(
-        _engine(), max_batch_size=8, max_wait_seconds=30.0, queue_size=8, cache=None
-    )
+    service, segmenter, blocker = _held_service(max_batch_size=8, queue_size=8)
     futures = [service.submit(image) for image in _images(5)]
-    assert service.metrics()["queue_depth"] == 5  # still filling the batch
-    service.close(drain=False)
-    assert all(future.cancelled() for future in futures)
+    assert service.metrics()["queue_depth"] == 5  # queued behind the held batch
+    closer = threading.Thread(target=service.close, kwargs={"drain": False})
+    closer.start()
+    for future in futures:
+        with pytest.raises(concurrent.futures.CancelledError):
+            future.result(timeout=10)
+    segmenter.gate.set()  # only the batch being computed still finishes
+    closer.join(10.0)
+    assert blocker.result(timeout=0) is not None
     metrics = service.metrics()
     assert metrics["queue_depth"] == 0
-    assert metrics["batches"] == 0
+    assert metrics["batches"] == 1
     assert metrics["cancelled"] == 5
 
 
 def test_stats_track_batch_shapes():
-    async def scenario():
-        service = AsyncSegmentationService(
-            _engine(), max_batch_size=2, max_wait_seconds=0.01, queue_size=8, cache=None
-        )
-        await asyncio.gather(*(service.submit(image) for image in _images(5)))
-        await service.aclose()
-        return service
-
-    service = asyncio.run(scenario())
-    assert sorted(_batch_sizes(service), reverse=True) == [2, 2, 2, 2, 1]
+    service, segmenter, blocker = _held_service(max_batch_size=2, queue_size=8)
+    futures = [service.submit(image) for image in _images(5)]
+    segmenter.gate.set()
+    for future in [blocker, *futures]:
+        future.result(timeout=10)
+    service.close()
+    assert sorted(_batch_sizes(service), reverse=True) == [2, 2, 2, 2, 1, 1]
     metrics = service.metrics()
-    assert metrics["batches"] == 3
-    assert metrics["completed"] == 5
+    assert metrics["batches"] == 4
+    assert metrics["completed"] == 6
     assert service.describe()["max_batch_size"] == 2
-    assert metrics["mean_batch_size"] == pytest.approx(5 / 3)
+    assert metrics["mean_batch_size"] == pytest.approx(6 / 4)
 
 
 def test_constructor_validation():
     with pytest.raises(ParameterError):
         SegmentationService(_engine(), max_batch_size=0)
-    with pytest.raises(ParameterError):
-        SegmentationService(_engine(), max_wait_seconds=-0.1)
     with pytest.raises(ParameterError):
         SegmentationService(_engine(), queue_size=0)

@@ -3,7 +3,7 @@
 Every time source in the request path (cache TTLs, service latency/uptime,
 async deadlines) must be a *monotonic* clock, never
 ``time.time()`` — a wall-clock step (NTP correction, DST, manual reset) must
-not flush batches early, expire cache entries, or distort latency
+not shed queued requests early, expire cache entries, or distort latency
 percentiles.  These tests pin that down with injected fake clocks and a
 source audit.
 """
@@ -78,22 +78,26 @@ def _frame(value):
 
 
 def _queued_deadline_outcome(advance):
-    """Queue one request with a 0.1 s deadline; the clock moves ``advance``."""
+    """Queue a 0.1 s-deadline request behind a held batch; the clock moves ``advance``."""
     clock = FakeClock()
+    segmenter = GatedSegmenter()
 
     async def scenario():
         service = AsyncSegmentationService(
-            BatchSegmentationEngine(IQFTSegmenter(thetas=np.pi)),
+            BatchSegmentationEngine(segmenter),
             max_batch_size=4,
-            max_wait_seconds=0.3,
             cache=None,
             clock=clock,
         )
+        running = asyncio.ensure_future(service.submit(_frame(0)))
+        await asyncio.get_running_loop().run_in_executor(None, segmenter.entered.wait, 10.0)
         request = asyncio.ensure_future(service.submit(_frame(1), deadline=0.1))
         await asyncio.sleep(0.15)  # more *real* time than the deadline allows...
-        assert not request.done(), "batch flushed before its fill window closed"
+        assert not request.done(), "request left the queue while the worker was busy"
         clock.advance(advance)  # ...but only the injected clock can expire it
+        segmenter.gate.set()  # the worker drains the queue
         (outcome,) = await asyncio.gather(request, return_exceptions=True)
+        await running
         await service.aclose()
         return outcome, service.metrics()
 
@@ -104,10 +108,10 @@ def test_batcher_deadline_flush_follows_the_injected_clock():
     """The batch drain sheds a queued request on the injected clock only."""
     outcome, metrics = _queued_deadline_outcome(advance=0.0)
     assert isinstance(outcome, PipelineResult)
-    assert metrics["completed"] == 1 and metrics["shed"]["expired"] == 0
+    assert metrics["completed"] == 2 and metrics["shed"]["expired"] == 0
     outcome, metrics = _queued_deadline_outcome(advance=0.2)
     assert isinstance(outcome, DeadlineExceededError)
-    assert metrics["completed"] == 0 and metrics["shed"]["expired"] == 1
+    assert metrics["completed"] == 1 and metrics["shed"]["expired"] == 1
 
 
 def _blocked_submit_outcome(advance):
@@ -119,7 +123,6 @@ def _blocked_submit_outcome(advance):
         service = AsyncSegmentationService(
             BatchSegmentationEngine(segmenter),
             max_batch_size=1,
-            max_wait_seconds=0.0,
             queue_size=1,
             cache=None,
             clock=clock,
@@ -173,7 +176,7 @@ def test_cache_ttl_is_immune_to_wall_clock_jumps(monkeypatch):
 def test_service_latency_and_uptime_follow_the_injected_clock(rng):
     clock = FakeClock()
     engine = BatchSegmentationEngine(IQFTSegmenter(thetas=np.pi))
-    service = SegmentationService(engine, max_wait_seconds=0.001, clock=clock)
+    service = SegmentationService(engine, clock=clock)
     try:
         image = (rng.random((10, 12, 3)) * 255).astype(np.uint8)
         service.submit(image).result(timeout=30)

@@ -39,7 +39,6 @@ def _image(rng, shape=(10, 12, 3)):
 
 
 def _service(sample_rate=1.0, **kwargs):
-    kwargs.setdefault("max_wait_seconds", 0.001)
     return AsyncSegmentationService(
         _engine(), tracer=Tracer(sample_rate=sample_rate), **kwargs
     )
@@ -225,7 +224,6 @@ def test_http_metrics_prometheus_format_is_valid_exposition(rng):
 def test_three_worker_fleet_trace_round_trip(tmp_path, rng):
     image = _image(rng, shape=(14, 14, 3))
     spec = WorkerSpec(
-        max_wait_seconds=0.002,
         cache_dir=str(tmp_path / "l2"),
         trace_sample_rate=1.0,
     )
@@ -281,12 +279,11 @@ def test_format_metrics_table_tolerates_fresh_service_snapshot():
             "latency_seconds": {"count": 0.0, "mean": None, "max": None, "p50": None, "p99": None},
             "cache": None,
             "lanes": {},
-            "adaptive": None,
         }
     )
     assert "p50=n/a p99=n/a" in table
     assert "cache hits   off" in table
-    assert "adaptive     off" in table
+    assert "adaptive" not in table
     assert "NaN" not in table
 
 
@@ -304,8 +301,6 @@ def test_format_metrics_table_renders_fleet_lanes_and_exemplar():
             "lanes": {"high": {"depth": 0, "completed": 10, "shed_admission": 1,
                                "shed_expired": 0, "weight": 4,
                                "latency_seconds": {"p99": 0.050}}},
-            "adaptive": {"ticks": 7, "batch_adjustments": 1, "weight_adjustments": 2,
-                         "max_batch_size": {"min": 4, "max": 16}},
             "trace": {"recorded": 3, "retained": 3, "sampled_out": 0},
             "latency_exemplar": {"trace_id": "deadbeefdeadbeef", "seconds": 0.051},
         }
@@ -314,7 +309,7 @@ def test_format_metrics_table_renders_fleet_lanes_and_exemplar():
     assert "latency      p50=10.00ms p99=50.00ms" in table
     assert "cache hits   l1=50% l2=25% overall=40%" in table
     assert "lane high    depth=0 completed=10 shed=1 weight=4 p99=50.00ms" in table
-    assert "batch_size=4..16" in table
+    assert "throughput   5.00 req/s over 2s, mean batch 1.50" in table
     assert "traces       recorded=3 retained=3 sampled_out=0" in table
     assert "slowest      trace_id=deadbeefdeadbeef at 51.00ms" in table
 

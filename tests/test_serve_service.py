@@ -45,7 +45,7 @@ class GatedSegmenter(BaseSegmenter):
 def test_cache_hit_results_bit_identical_to_cold(rng):
     image = _image(rng)
     mask = (rng.random(image.shape[:2]) > 0.5).astype(np.int64)
-    with SegmentationService(_engine(), max_wait_seconds=0.001) as service:
+    with SegmentationService(_engine()) as service:
         cold = service.submit(image, ground_truth=mask).result(timeout=30)
         warm = service.submit(image, ground_truth=mask).result(timeout=30)
     assert cold.segmentation.extras["cache_hit"] is False
@@ -60,7 +60,7 @@ def test_cached_segmentation_rescored_per_ground_truth(rng):
     image = _image(rng)
     ones = np.ones(image.shape[:2], dtype=np.int64)
     zeros = np.zeros(image.shape[:2], dtype=np.int64)
-    with SegmentationService(_engine(), max_wait_seconds=0.001) as service:
+    with SegmentationService(_engine()) as service:
         first = service.submit(image, ground_truth=ones).result(timeout=30)
         second = service.submit(image, ground_truth=zeros).result(timeout=30)
     assert second.segmentation.extras["cache_hit"] is True
@@ -72,9 +72,7 @@ def test_cached_segmentation_rescored_per_ground_truth(rng):
 
 def test_identical_requests_in_one_batch_are_coalesced(rng):
     image = _image(rng, value=77)
-    with SegmentationService(
-        _engine(), max_batch_size=8, max_wait_seconds=0.2
-    ) as service:
+    with SegmentationService(_engine(), max_batch_size=8) as service:
         futures = [service.submit(image) for _ in range(4)]
         results = [future.result(timeout=30) for future in futures]
         metrics = service.metrics()
@@ -89,7 +87,7 @@ def test_identical_requests_in_one_batch_are_coalesced(rng):
 
 def test_service_without_cache_still_serves(rng):
     image = _image(rng)
-    with SegmentationService(_engine(), cache=None, max_wait_seconds=0.001) as service:
+    with SegmentationService(_engine(), cache=None) as service:
         a = service.submit(image).result(timeout=30)
         b = service.submit(image).result(timeout=30)
         metrics = service.metrics()
@@ -101,14 +99,18 @@ def test_service_without_cache_still_serves(rng):
 
 def test_coalescing_works_without_cache(rng):
     image = _image(rng, value=42)
-    # max_batch_size=4 with a long deadline: the worker's first batch
-    # deterministically gathers all four requests (size flush)
-    with SegmentationService(
-        _engine(), cache=None, max_batch_size=4, max_wait_seconds=10.0
-    ) as service:
+    segmenter = GatedSegmenter()
+    engine = BatchSegmentationEngine(segmenter)
+    with SegmentationService(engine, cache=None, max_batch_size=4) as service:
+        blocker = service.submit(_image(rng, value=7))
+        assert segmenter.entered.wait(10.0)
+        # the four requests queue behind the held batch and leave as one
         futures = [service.submit(image) for _ in range(4)]
+        segmenter.gate.set()
+        blocker.result(timeout=30)
         results = [future.result(timeout=30) for future in futures]
         metrics = service.metrics()
+    assert metrics["batches"] == 2
     assert metrics["coalesced"] == 3  # one engine evaluation served all four
     for result in results:
         assert np.array_equal(result.labels, results[0].labels)
@@ -117,7 +119,7 @@ def test_coalescing_works_without_cache(rng):
 def test_submit_snapshots_caller_buffer(rng):
     buffer = _image(rng, value=50)
     expected = _engine().segment(np.full_like(buffer, 50)).labels
-    with SegmentationService(_engine(), max_wait_seconds=0.001) as service:
+    with SegmentationService(_engine()) as service:
         future = service.submit(buffer)
         buffer[:] = 180  # caller reuses the buffer immediately (video-frame pattern)
         result = future.result(timeout=30)
@@ -152,9 +154,7 @@ def test_config_digest_covers_noise_model_parameters():
 def test_caller_cancelled_future_is_accounted(rng):
     segmenter = GatedSegmenter()
     engine = BatchSegmentationEngine(segmenter)
-    service = SegmentationService(
-        engine, max_batch_size=1, max_wait_seconds=0.0, queue_size=16, cache=None
-    )
+    service = SegmentationService(engine, max_batch_size=1, queue_size=16, cache=None)
     running = service.submit(_image(rng))
     assert segmenter.entered.wait(10.0)
     victim = service.submit(_image(rng))
@@ -172,9 +172,9 @@ def test_shared_cache_isolates_differently_configured_engines(rng):
     cache = ResultCache(max_entries=16)
     engine_pi = BatchSegmentationEngine(IQFTSegmenter(thetas=np.pi))
     engine_4pi = BatchSegmentationEngine(IQFTSegmenter(thetas=4 * np.pi))
-    with SegmentationService(engine_pi, cache=cache, max_wait_seconds=0.001) as first:
+    with SegmentationService(engine_pi, cache=cache) as first:
         result_pi = first.submit(image).result(timeout=30)
-    with SegmentationService(engine_4pi, cache=cache, max_wait_seconds=0.001) as second:
+    with SegmentationService(engine_4pi, cache=cache) as second:
         result_4pi = second.submit(image).result(timeout=30)
     # different θ must never be served from the other engine's cache entry
     assert result_4pi.segmentation.extras["cache_hit"] is False
@@ -184,7 +184,7 @@ def test_shared_cache_isolates_differently_configured_engines(rng):
 
 def test_map_returns_results_in_input_order(rng):
     images = [_image(rng, value=v) for v in (10, 200, 10, 90)]
-    with SegmentationService(_engine(), max_wait_seconds=0.005) as service:
+    with SegmentationService(_engine()) as service:
         results = service.map(images)
     assert len(results) == 4
     engine = _engine()
@@ -201,9 +201,7 @@ def test_map_returns_results_in_input_order(rng):
 def test_backpressure_rejects_when_queue_full(rng):
     segmenter = GatedSegmenter()
     engine = BatchSegmentationEngine(segmenter)
-    service = SegmentationService(
-        engine, max_batch_size=1, max_wait_seconds=0.0, queue_size=2, cache=None
-    )
+    service = SegmentationService(engine, max_batch_size=1, queue_size=2, cache=None)
     try:
         blocked = service.submit(_image(rng))  # worker picks this up and blocks
         assert segmenter.entered.wait(10.0)
@@ -231,7 +229,7 @@ def test_concurrent_submitters_share_one_core(rng):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with SegmentationService(_engine(), max_wait_seconds=0.001) as service:
+        with SegmentationService(_engine()) as service:
 
             def producer(offset):
                 for index in range(per_thread):
@@ -261,7 +259,7 @@ def test_concurrent_submitters_share_one_core(rng):
 def test_per_request_failures_do_not_poison_the_batch(rng):
     good = _image(rng)
     bad = (rng.random((10, 10)) * 255).astype(np.uint8)  # 2-D input to an RGB method
-    with SegmentationService(_engine(), max_wait_seconds=0.005) as service:
+    with SegmentationService(_engine()) as service:
         good_future = service.submit(good)
         bad_future = service.submit(bad)
         assert good_future.result(timeout=30) is not None
@@ -276,9 +274,7 @@ def test_per_request_failures_do_not_poison_the_batch(rng):
 # lifecycle
 # --------------------------------------------------------------------------- #
 def test_close_drains_inflight_work(rng):
-    service = SegmentationService(
-        _engine(), max_batch_size=2, max_wait_seconds=0.001, queue_size=64
-    )
+    service = SegmentationService(_engine(), max_batch_size=2, queue_size=64)
     futures = [service.submit(_image(rng, value=v)) for v in range(10)]
     service.close(drain=True)
     for future in futures:
@@ -289,9 +285,7 @@ def test_close_drains_inflight_work(rng):
 def test_close_without_drain_cancels_queued_requests(rng):
     segmenter = GatedSegmenter()
     engine = BatchSegmentationEngine(segmenter)
-    service = SegmentationService(
-        engine, max_batch_size=1, max_wait_seconds=0.0, queue_size=16, cache=None
-    )
+    service = SegmentationService(engine, max_batch_size=1, queue_size=16, cache=None)
     running = service.submit(_image(rng))
     assert segmenter.entered.wait(10.0)
     queued = [service.submit(_image(rng)) for _ in range(3)]
@@ -314,7 +308,7 @@ def test_submit_after_close_raises(rng):
 
 
 def test_context_manager_drains_on_clean_exit(rng):
-    with SegmentationService(_engine(), max_wait_seconds=0.001) as service:
+    with SegmentationService(_engine()) as service:
         future = service.submit(_image(rng))
     assert future.result(timeout=30) is not None
     assert service.closed
@@ -324,7 +318,7 @@ def test_context_manager_drains_on_clean_exit(rng):
 # observability + validation
 # --------------------------------------------------------------------------- #
 def test_metrics_snapshot_shape(rng):
-    with SegmentationService(_engine(), max_wait_seconds=0.001) as service:
+    with SegmentationService(_engine()) as service:
         service.submit(_image(rng)).result(timeout=30)
         metrics = service.metrics()
     assert metrics["requests"] == 1

@@ -410,11 +410,15 @@ def test_tiered_put_writes_through_all_three_tiers(shm_cache, rng, tmp_path):
     assert disk.get(key) is not None
 
 
-def test_worker_spec_with_dead_shm_name_degrades_to_disk(tmp_path):
+def test_worker_spec_with_dead_shm_name_degrades_to_disk(tmp_path, capsys):
     spec = WorkerSpec(cache_dir=str(tmp_path), shm_name="repro-shm-long-gone")
     cache = spec.build_cache()
     assert isinstance(cache, TieredResultCache)
     assert cache.shm is None  # degraded, not broken
+    (warning,) = [
+        line for line in capsys.readouterr().err.splitlines() if "cache.shm_attach_failed" in line
+    ]
+    assert "warning" in warning.lower() and "repro-shm-long-gone" in warning and "error" in warning
 
 
 def test_worker_spec_without_disk_uses_shm_as_l2(rng):
