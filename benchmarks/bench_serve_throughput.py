@@ -40,8 +40,8 @@ def _workload(rng, smoke_mode):
     side = 32 if smoke_mode else 128
     # quantized images, each with its own random 256-colour palette — the
     # realistic serving workload (synthetic scenes, screenshots, label-like
-    # imagery).  Distinct palettes per image keep the cold pass honest: no
-    # cross-image palette-cache sharing, every image is really computed.
+    # imagery).  Distinct images keep the cold pass honest: no result-cache
+    # hit, every image is really computed.
     images = []
     for _ in range(count):
         palette = (rng.random((256, 3)) * 255).astype(np.uint8)

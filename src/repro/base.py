@@ -105,9 +105,12 @@ class BaseSegmenter(abc.ABC):
                 f"image shape {arr.shape[:2]}"
             )
         labels = labels.astype(np.int64, copy=False)
+        # Deferred: repro.core's segmenters import this module.
+        from .core.labels import count_segments
+
         return SegmentationResult(
             labels=labels,
-            num_segments=int(np.unique(labels).size),
+            num_segments=count_segments(labels),
             runtime_seconds=elapsed,
             method=self.name,
             extras=self._extras(),

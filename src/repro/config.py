@@ -37,9 +37,12 @@ __all__ = [
 SeedLike = Union[None, int, np.random.Generator]
 
 #: Number of pixels processed per chunk by the vectorized IQFT kernel.  The
-#: working set per chunk is ``chunk * 8 * 16`` bytes (complex128), i.e. ~8 MiB
-#: for the default, which comfortably fits in L3 on commodity hardware.
-DEFAULT_CHUNK_PIXELS = 65536
+#: working set per chunk is ``chunk * 8 * 16`` bytes (complex128), i.e. 512 KiB
+#: for the default, which stays in L2 on commodity hardware.  Measured on a
+#: 2-vCPU VM (94k palette rows / 512x512 matrix path): 2048 43-57 / 130-170 ms,
+#: 4096 48-60 / 155-187 ms, 8192 49-60 / 162-188 ms, 65536 88-92 / 262 ms;
+#: 4096 also keeps the separable palette kernel near its best.
+DEFAULT_CHUNK_PIXELS = 4096
 
 #: Complex dtype used by the IQFT kernels.
 DEFAULT_COMPLEX_DTYPE = np.complex128

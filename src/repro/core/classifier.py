@@ -14,7 +14,7 @@ to bound peak memory (see ``chunk_pixels`` in :mod:`repro.config`).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -132,15 +132,8 @@ class IQFTClassifier:
         return arr
 
     # ------------------------------------------------------------------ #
-    def amplitudes(self, phases: np.ndarray) -> np.ndarray:
-        """Return the ``(N, 2^n)`` complex amplitudes ``(1/N)·W·F`` (eq. 11).
-
-        ``phases`` is an ``(N, n)`` array (or a single ``(n,)`` vector, in
-        which case the output is ``(2^n,)``), ordered most-significant qubit
-        first as produced by :func:`repro.core.phase_encoding.pixel_phases`.
-        """
-        arr = self._as_batch(phases, self._num_qubits)
-        out = np.empty((arr.shape[0], self._dim), dtype=np.complex128)
+    def _chunked_amplitudes(self, arr: np.ndarray) -> Iterator[Tuple[int, int, np.ndarray]]:
+        """Yield ``(start, stop, amplitudes)`` for each chunk of an ``(N, n)`` batch."""
         chunk = self._effective_chunk()
         # The kernel (phase vectors + fixed-order accumulation against W)
         # lives on the backend; the reference keeps the historical bit-exact
@@ -150,9 +143,19 @@ class IQFTClassifier:
         kernel = self._backend if self._backend is not None else _reference_backend()
         for start in range(0, arr.shape[0], chunk):
             stop = min(start + chunk, arr.shape[0])
-            out[start:stop] = kernel.phase_amplitudes(
-                arr[start:stop], self._bits, self._matrix
-            )
+            yield start, stop, kernel.phase_amplitudes(arr[start:stop], self._bits, self._matrix)
+
+    def amplitudes(self, phases: np.ndarray) -> np.ndarray:
+        """Return the ``(N, 2^n)`` complex amplitudes ``(1/N)·W·F`` (eq. 11).
+
+        ``phases`` is an ``(N, n)`` array (or a single ``(n,)`` vector, in
+        which case the output is ``(2^n,)``), ordered most-significant qubit
+        first as produced by :func:`repro.core.phase_encoding.pixel_phases`.
+        """
+        arr = self._as_batch(phases, self._num_qubits)
+        out = np.empty((arr.shape[0], self._dim), dtype=np.complex128)
+        for start, stop, amps in self._chunked_amplitudes(arr):
+            out[start:stop] = amps
         if np.asarray(phases).ndim == 1:
             return out[0]
         return out
@@ -171,11 +174,18 @@ class IQFTClassifier:
         """Line 5 of Algorithm 1: the argmax basis-state label per sample.
 
         Ties are broken toward the smaller basis index (``numpy.argmax``
-        semantics), which matters only on a measure-zero set of inputs.
+        semantics), which matters only on a measure-zero set of inputs.  The
+        argmax is taken chunk by chunk, so the working set stays one chunk of
+        amplitudes however large the batch; every row goes through exactly
+        the arithmetic of :meth:`probabilities`.
         """
-        probs = self.probabilities(phases)
-        labels = np.argmax(probs, axis=-1)
-        return labels.astype(np.int64)
+        arr = self._as_batch(phases, self._num_qubits)
+        labels = np.empty(arr.shape[0], dtype=np.int64)
+        for start, stop, amps in self._chunked_amplitudes(arr):
+            labels[start:stop] = np.argmax(np.abs(amps) ** 2, axis=-1)
+        if np.asarray(phases).ndim == 1:
+            return labels[0]
+        return labels
 
     def classify_unique(self, phases: np.ndarray) -> np.ndarray:
         """Classify with row-level deduplication (standalone utility).

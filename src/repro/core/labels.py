@@ -49,9 +49,25 @@ def relabel_consecutive(labels: np.ndarray) -> np.ndarray:
     return inverse.reshape(arr.shape).astype(np.int64)
 
 
+#: Labels below this bound are counted with ``np.bincount`` (one O(N) pass
+#: over a table of at most this many slots); other maps sort via ``np.unique``.
+_BINCOUNT_LABELS = 65536
+
+
+def _bincount_size(arr: np.ndarray) -> int:
+    """Bincount table size for a label map, or 0 when the map needs ``np.unique``."""
+    if arr.size == 0:
+        return 0
+    low, high = int(arr.min()), int(arr.max())
+    return high + 1 if low >= 0 and high < _BINCOUNT_LABELS else 0
+
+
 def count_segments(labels: np.ndarray) -> int:
     """Number of distinct labels present in the map."""
-    return int(np.unique(_check_label_map(labels)).size)
+    arr = _check_label_map(labels)
+    if _bincount_size(arr):
+        return int(np.count_nonzero(np.bincount(arr.ravel())))
+    return int(np.unique(arr).size)
 
 
 def segment_sizes(labels: np.ndarray) -> Dict[int, int]:
@@ -100,6 +116,29 @@ def binarize_by_overlap(
             raise MetricError("void mask shape does not match the prediction")
         valid &= ~void
 
+    size = _bincount_size(pred)
+    if not size:
+        return _binarize_by_overlap_loop(pred, gt_binary, valid)
+    # Votes per (segment, class) as one bincount over segment*2 + class:
+    # column 0 counts background pixels, column 1 foreground.
+    codes = pred * 2 + gt_binary
+    votes = np.bincount(codes[valid], minlength=2 * size).reshape(size, 2)
+    void_only = votes.sum(axis=1) == 0
+    if void_only.any():
+        # A segment living entirely inside the void band: fall back to the
+        # unscoped majority so the pixel still gets a sensible class.  Such a
+        # segment's pixels are all void, so the void pixels alone give it.
+        unscoped = np.bincount(codes[~valid], minlength=2 * size).reshape(size, 2)
+        votes[void_only] = unscoped[void_only]
+    decision = (votes[:, 1] > votes[:, 0]).astype(np.int64)
+    return decision[pred]
+
+
+def _binarize_by_overlap_loop(
+    pred: np.ndarray, gt_binary: np.ndarray, valid: np.ndarray
+) -> np.ndarray:
+    # Per-label masks: the general route for label maps bincount cannot
+    # index (negative or very large labels).
     out = np.zeros_like(pred)
     for label in np.unique(pred):
         segment = pred == label

@@ -11,7 +11,27 @@ segmenter (same normalization, same phase encoding, same chunked matmul, same
 argmax tie-breaking), the fast path is bit-identical to the matrix path — the
 property tests in ``tests/test_engine_lut_property.py`` assert exactly that.
 
-This module owns the table construction and its LRU cache; the segmenters
+RGB images are labelled per distinct colour, and the colours go through a
+closed form rather than the matmul.  The encoded state of equation (11) is a
+product state, ``F = ⊗_q (1, e^{iφ_q})``, so its IQFT probabilities factorise
+per qubit::
+
+    P_j = Π_q cos²(φ_q/2 − π·j·2^{n−1−q}/2^n)
+
+Each factor depends on one channel's raw value, so three read-only
+``(256, 8)`` tables per ``(θ triple, normalize, max_value, dtype)`` give any
+colour's eight probabilities as three gathers and two multiplies.  The table
+phases come from the segmenter's own normalization and phase encoding on a
+0..255 ramp in the image's raw dtype, so they are bit-equal to the matrix
+path's.  The closed form and the matmul round differently (by ~1e-15), so a
+closed-form argmax is only trusted when it is *certified*: its probability
+beats the runner-up by more than 1e-9.  Every other colour (true ties, such
+as ``R = G = 0`` at θ = π) is deferred to the exact classifier, which keeps
+the labels bit-identical; over all 2²⁴ 8-bit colours at θ = π, 22,974 are
+deferred.  Tables whose phases exceed 4096 rad are declined and the matrix
+path runs.
+
+This module owns the table construction and its LRU caches; the segmenters
 expose the fast path through their ``labels_from_lut`` hooks and
 :class:`repro.engine.BatchSegmentationEngine` decides when to take it.
 """
@@ -28,10 +48,10 @@ from ..errors import ParameterError
 
 __all__ = [
     "DEFAULT_NUM_LEVELS",
-    "MAX_CACHED_PALETTE_COLORS",
     "grayscale_label_lut",
     "grayscale_probability_lut",
     "rgb_palette_label_lut",
+    "palette_labels",
     "lut_eligible",
     "apply_lut",
     "unique_codes",
@@ -44,12 +64,6 @@ __all__ = [
 
 #: Number of distinct raw values covered by a default lookup table (8-bit).
 DEFAULT_NUM_LEVELS = 256
-
-#: Largest palette (distinct 24-bit colours) kept in the cross-image cache.
-#: Bigger palettes are still classified exactly, just not retained: one cache
-#: entry stores 8 bytes per colour for the key plus 8 per label, so the cap
-#: bounds the cache at ~32 MiB even when every slot holds a worst-case entry.
-MAX_CACHED_PALETTE_COLORS = 65536
 
 
 # --------------------------------------------------------------------------- #
@@ -215,39 +229,124 @@ def grayscale_probability_lut(
 
 
 # --------------------------------------------------------------------------- #
-# RGB palette tables (cross-image: keyed on the palette itself)
+# RGB channel tables: the separable closed form of the 3-qubit rule
 # --------------------------------------------------------------------------- #
 ThetaTriple = Union[float, Sequence[float]]
 
+#: Largest table phase (radians, in magnitude) the separable kernel accepts.
+#: Past it the rounding of the phases themselves creeps towards the
+#: certificate's margin, so the tables are declined and the matrix path runs.
+_MAX_TABLE_PHASE = 4096.0
+
+#: A colour's closed-form label is certified when its largest class
+#: probability beats the runner-up by more than this.  Inside the phase guard
+#: the closed form and the exact matmul each sit within ~1e-11 of the true
+#: probabilities, so a certified argmax is the exact path's argmax.
+_CERTIFICATE_MARGIN = 1e-9
+
 
 @functools.lru_cache(maxsize=32)
-def _rgb_palette_tables(
+def _rgb_channel_tables(
     thetas: Tuple[float, float, float],
     normalize: bool,
     max_value: float,
     dtype_str: str,
-    palette_bytes: bytes,
-) -> np.ndarray:
+) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     # Local import: the RGB segmenter imports this module for its hook.
     from .rgb_segmenter import IQFTSegmenter
 
     segmenter = IQFTSegmenter(thetas=thetas, normalize=normalize, max_value=max_value)
-    codes = np.frombuffer(palette_bytes, dtype=np.int64)
-    # Rebuild the colour rows in the original raw dtype so they take the exact
-    # same normalization branch as the full image would.
-    colors = unpack_rgb_codes(codes).astype(np.dtype(dtype_str)).reshape(-1, 1, 3)
-    phases = segmenter._phases(colors).reshape(-1, 3)
-    labels = segmenter._classifier.classify(phases).astype(np.int64)
-    labels.flags.writeable = False
-    return labels
+    dtype = np.dtype(dtype_str)
+    # A 0..255 ramp in all three channels, in the image's raw dtype, goes
+    # through the segmenter's own normalization and phase encoding, so every
+    # table phase is bit-equal to the one the matrix path computes for that
+    # raw value.  Levels the dtype cannot hold (int8 past 127) repeat its
+    # maximum; no image of that dtype indexes those rows.
+    top = min(DEFAULT_NUM_LEVELS - 1, int(np.iinfo(dtype).max))
+    ramp = np.minimum(np.arange(DEFAULT_NUM_LEVELS), top).astype(dtype)
+    phases = segmenter._phases(np.repeat(ramp, 3).reshape(-1, 1, 3)).reshape(-1, 3)
+    if float(np.abs(phases).max()) > _MAX_TABLE_PHASE:
+        return None
+    num_qubits = phases.shape[1]
+    dim = 2**num_qubits
+    classes = np.arange(dim)
+    tables = []
+    for qubit in range(num_qubits):
+        shift = np.pi * classes * 2 ** (num_qubits - 1 - qubit) / dim
+        # Column-major: each class's 256 factors are contiguous for the gather.
+        table = np.asfortranarray(np.cos(phases[:, qubit, None] / 2 - shift) ** 2)
+        table.flags.writeable = False
+        tables.append(table)
+    # Phases run most significant qubit first, (α, β, γ) = (B, G, R); packed
+    # codes run (R, G, B).
+    return tables[2], tables[1], tables[0]
 
 
-def _normalized_thetas(thetas: ThetaTriple) -> Tuple[float, float, float]:
-    # Reuse the segmenter's own validation so the cache key and the exact
-    # path can never disagree on what a valid θ triple is.
-    from .rgb_segmenter import IQFTSegmenter
+def _separable_labels(
+    tables: Tuple[np.ndarray, np.ndarray, np.ndarray], codes: np.ndarray, chunk: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Closed-form argmax per packed colour, and whether the margin certifies it."""
+    red, green, blue = tables
+    labels = np.zeros(codes.size, dtype=np.int64)
+    certified = np.empty(codes.size, dtype=bool)
+    for start in range(0, codes.size, chunk):
+        block = codes[start : start + chunk]
+        r, g, b = block >> 16, (block >> 8) & 0xFF, block & 0xFF
 
-    return IQFTSegmenter._validate_thetas(thetas)
+        def probability(j: int) -> np.ndarray:
+            p = red[:, j].take(r)
+            p *= green[:, j].take(g)
+            p *= blue[:, j].take(b)
+            return p
+
+        label = labels[start : start + chunk]
+        best = probability(0)
+        runner_up = np.zeros_like(best)
+        for j in range(1, red.shape[1]):
+            p = probability(j)
+            np.maximum(runner_up, np.minimum(best, p), out=runner_up)
+            # Strict: a tie keeps the smaller index, as numpy.argmax does.
+            np.copyto(label, j, where=p > best)
+            np.maximum(best, p, out=best)
+        best -= runner_up
+        np.greater(best, _CERTIFICATE_MARGIN, out=certified[start : start + chunk])
+    return labels, certified
+
+
+def _exact_colour_labels(segmenter, codes: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    # Rebuild the colour rows in the raw dtype so they take the exact same
+    # normalization branch as the full image would.
+    colors = unpack_rgb_codes(codes).astype(dtype).reshape(-1, 1, 3)
+    phases = segmenter._phases(colors).reshape(-1, segmenter._classifier.num_qubits)
+    return segmenter._classifier.classify(phases)
+
+
+def palette_labels(
+    segmenter, palette: np.ndarray, dtype: Union[str, np.dtype, type]
+) -> Optional[Tuple[np.ndarray, int]]:
+    """Exact labels of packed colours for an :class:`~repro.core.IQFTSegmenter`.
+
+    Returns ``(labels, colours_deferred)``: every colour costs three table
+    gathers, two multiplies and an argmax, and the few colours whose top two
+    probabilities lie within the certificate's margin go through the
+    segmenter's exact classifier.  ``dtype`` is the raw storage dtype of the
+    source image.  Returns ``None`` when a table phase exceeds the guard (the
+    caller runs the matrix path instead).
+    """
+    dtype = np.dtype(dtype)
+    tables = _rgb_channel_tables(
+        segmenter.thetas, segmenter.normalize, segmenter.max_value, str(dtype)
+    )
+    if tables is None:
+        return None
+    codes = np.asarray(palette, dtype=np.int64).reshape(-1)
+    labels, certified = _separable_labels(
+        tables, codes, segmenter._classifier._effective_chunk()
+    )
+    deferred = np.flatnonzero(~certified)
+    if deferred.size:
+        labels[deferred] = _exact_colour_labels(segmenter, codes[deferred], dtype)
+    return labels, int(deferred.size)
 
 
 def rgb_palette_label_lut(
@@ -257,41 +356,41 @@ def rgb_palette_label_lut(
     max_value: float = 255.0,
     dtype: Union[str, np.dtype, type] = np.uint8,
 ) -> np.ndarray:
-    """Labels for a palette of packed 24-bit colour codes, cached across images.
+    """Exact labels for a palette of packed 24-bit colour codes.
 
     ``palette`` is a 1-D array of :func:`pack_rgb_codes` codes (the distinct
-    colours of an image, in any order).  The table is keyed on
-    ``(θ1, θ2, θ3, normalize, max_value, dtype, palette bytes)`` so two
-    different images sharing a palette — synthetic scenes, screenshots,
-    label-like imagery, video frames — classify the colours once and hit the
-    LRU thereafter.  ``dtype`` must be the raw storage dtype of the source
-    image: it selects the normalization branch (uint8 always divides by 255,
-    wider integers divide by ``max_value``).  Entries are exact classifier
-    output and read-only; :func:`lut_cache_info` reports hits/misses.
+    colours of an image, in any order).  ``dtype`` must be the raw storage
+    dtype of the source image: it selects the normalization branch (uint8
+    always divides by 255, wider integers divide by ``max_value``).  The
+    labels come from :func:`palette_labels` (the channel tables are cached,
+    the palette is not), or from the exact classifier over every colour when
+    the phase guard declines the tables.  The result is read-only.
     """
-    thetas = _normalized_thetas(thetas)
-    if max_value <= 0:
-        raise ParameterError("max_value must be positive")
-    codes = np.ascontiguousarray(np.asarray(palette, dtype=np.int64).reshape(-1))
+    from .rgb_segmenter import IQFTSegmenter
+
+    # The segmenter validates θ and max_value exactly as the matrix path does.
+    segmenter = IQFTSegmenter(thetas=thetas, normalize=normalize, max_value=max_value)
+    codes = np.asarray(palette, dtype=np.int64).reshape(-1)
     if codes.size == 0:
         raise ParameterError("palette must contain at least one colour code")
     if int(codes.min()) < 0 or int(codes.max()) >= (1 << 24):
         raise ParameterError("palette codes must be packed 24-bit values")
-    return _rgb_palette_tables(
-        thetas,
-        bool(normalize),
-        float(max_value),
-        str(np.dtype(dtype)),
-        codes.tobytes(),
-    )
+    found = palette_labels(segmenter, codes, dtype)
+    if found is None:
+        labels = _exact_colour_labels(segmenter, codes, np.dtype(dtype))
+    else:
+        labels = found[0]
+    labels.flags.writeable = False
+    return labels
 
 
 class LutCacheInfo(NamedTuple):
-    """Aggregate cache statistics across the value and palette table caches.
+    """Aggregate cache statistics across the value and channel table caches.
 
     The first four fields mirror :class:`functools` ``CacheInfo`` (summed over
-    both caches) so existing callers keep working; ``grayscale`` and
-    ``palette`` carry the individual ``CacheInfo`` of each table cache.
+    both caches) so existing callers keep working; ``grayscale`` carries the
+    ``CacheInfo`` of the value tables and ``palette`` that of the RGB channel
+    tables (one entry per θ triple, normalization, ``max_value`` and dtype).
     """
 
     hits: int
@@ -303,9 +402,9 @@ class LutCacheInfo(NamedTuple):
 
 
 def lut_cache_info() -> LutCacheInfo:
-    """Hit/miss statistics of the shared table caches (value + palette)."""
+    """Hit/miss statistics of the shared table caches (value + channel)."""
     gray = _grayscale_tables.cache_info()
-    pal = _rgb_palette_tables.cache_info()
+    pal = _rgb_channel_tables.cache_info()
     return LutCacheInfo(
         hits=gray.hits + pal.hits,
         misses=gray.misses + pal.misses,
@@ -319,7 +418,7 @@ def lut_cache_info() -> LutCacheInfo:
 def clear_lut_cache() -> None:
     """Drop every cached lookup table (used by tests and benchmarks)."""
     _grayscale_tables.cache_clear()
-    _rgb_palette_tables.cache_clear()
+    _rgb_channel_tables.cache_clear()
 
 
 # --------------------------------------------------------------------------- #

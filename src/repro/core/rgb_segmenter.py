@@ -12,6 +12,12 @@ the working set cache-friendly):
 
 The maximum number of segments is therefore 8, and the *actual* number adapts
 to the image content and to θ (Table II / Figure 6 of the paper).
+
+Because ``F`` is a product state, ``F = ⊗_q (1, e^{iφ_q})``, step 4 factorises
+per qubit: ``P_j = Π_q cos²(φ_q/2 − π·j·2^{n−1−q}/2^n)``.  The engine's
+palette path (:meth:`IQFTSegmenter.labels_from_lut`) uses that closed form
+for integer images, with a margin certificate that defers near-ties to the
+matrix route above, so both return the same labels.
 """
 
 from __future__ import annotations
@@ -23,15 +29,7 @@ import numpy as np
 from ..base import BaseSegmenter
 from ..errors import ParameterError, ShapeError
 from .classifier import IQFTClassifier
-from .lut import (
-    MAX_CACHED_PALETTE_COLORS,
-    apply_lut,
-    lut_eligible,
-    pack_rgb_codes,
-    rgb_palette_label_lut,
-    unique_codes,
-    unpack_rgb_codes,
-)
+from .lut import apply_lut, lut_eligible, pack_rgb_codes, palette_labels, unique_codes
 from .phase_encoding import DEFAULT_THETA, normalize_pixels, pixel_phases
 
 __all__ = ["IQFTSegmenter"]
@@ -159,19 +157,23 @@ class IQFTSegmenter(BaseSegmenter):
         """Palette-LUT fast path: exact labels via per-colour lookup, or ``None``.
 
         The 3-qubit rule is a pure function of the ``(R, G, B)`` triple, so an
-        8-bit image only needs one classifier evaluation per *distinct colour*
-        (its palette) instead of one per pixel.  Colours are deduplicated on
-        packed 24-bit codes, classified through the exact
-        phase-encoding + matmul path, and scattered back — bit-identical to
-        :meth:`segment` by construction, on every backend: dedup and the
-        final per-pixel gather are integer kernels under the bit-exact
-        contract, so an :class:`~repro.backend.base.ArrayBackend` offloads
-        the memory-bound halves while the per-*colour* classification stays
-        on the exact reference path.  Non-integer or out-of-range input
-        returns ``None`` (callers fall back to the matrix path), as does
-        ``store_probabilities`` mode: the fast path computes no per-pixel
-        probability maps, so it must not swallow that contract.  Diagnostics
-        go into the caller-owned ``extras`` dict when one is passed.
+        8-bit image only needs one classification per *distinct colour* (its
+        palette) instead of one per pixel.  Colours are deduplicated on packed
+        24-bit codes, labelled by :func:`repro.core.lut.palette_labels`, and
+        scattered back.  A colour's label is the argmax of the factorised
+        probabilities (module docstring), three per-channel factors read from
+        256-entry tables.  It is certified when the top probability beats the
+        runner-up by more than 1e-9, far above the ~1e-15 the closed form and
+        the matmul differ by; the rare uncertified colour goes through the
+        exact classifier, so the result is bit-identical to :meth:`segment`.
+        Dedup and the per-pixel gather are integer kernels under the
+        bit-exact contract, so an :class:`~repro.backend.base.ArrayBackend`
+        offloads those memory-bound halves.  Non-integer or out-of-range
+        input returns ``None`` (callers fall back to the matrix path), as do
+        phases past the tables' guard and ``store_probabilities`` mode: the
+        fast path computes no per-pixel probability maps, so it must not
+        swallow that contract.  Diagnostics go into the caller-owned
+        ``extras`` dict when one is passed.
         """
         if self.store_probabilities:
             return None
@@ -182,34 +184,21 @@ class IQFTSegmenter(BaseSegmenter):
             return None
         codes = pack_rgb_codes(arr)
         palette, inverse = unique_codes(codes, backend=backend)
-        cacheable = palette.size <= MAX_CACHED_PALETTE_COLORS
-        if cacheable:
-            # Cross-image cache: identical palettes (synthetic scenes, video
-            # frames, label imagery) classify their colours exactly once.
-            palette_labels = rgb_palette_label_lut(
-                self._thetas,
-                palette,
-                normalize=self.normalize,
-                max_value=self.max_value,
-                dtype=arr.dtype,
-            )
-        else:
-            # Preserve the raw dtype so the palette rows take the exact same
-            # normalization branch as the full image would.
-            colors = unpack_rgb_codes(palette).astype(arr.dtype).reshape(-1, 1, 3)
-            phases = self._phases(colors).reshape(-1, self._classifier.num_qubits)
-            palette_labels = self._classifier.classify(phases)
+        found = palette_labels(self, palette, arr.dtype)
+        if found is None:
+            return None
+        labels, deferred = found
         info = {
             "thetas": self._thetas,
             "normalize": self.normalize,
             "fast_path": "palette-lut",
             "palette_size": int(palette.size),
-            "palette_cached": cacheable,
+            "colours_deferred": deferred,
         }
         self._last_extras = info
         if extras is not None:
             extras.update(info)
-        scattered = apply_lut(palette_labels, np.asarray(inverse).reshape(-1), backend=backend)
+        scattered = apply_lut(labels, np.asarray(inverse).reshape(-1), backend=backend)
         return scattered.reshape(arr.shape[:2])
 
     def _extras(self) -> Dict[str, Any]:

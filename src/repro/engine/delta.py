@@ -48,9 +48,10 @@ from typing import Any, Dict, Optional, Tuple
 import numpy as np
 
 from ..base import SegmentationResult
+from ..core.labels import count_segments
 from ..errors import ParameterError
 from ..parallel.tiling import Tile, assemble_tiles, grid_digests
-from .engine import BatchSegmentationEngine, _count_segments
+from .engine import BatchSegmentationEngine
 
 __all__ = [
     "DEFAULT_DELTA_TILE_SHAPE",
@@ -310,7 +311,7 @@ class DeltaStreamEngine:
         }
         return SegmentationResult(
             labels=labels,
-            num_segments=_count_segments(labels),
+            num_segments=count_segments(labels),
             runtime_seconds=time.perf_counter() - start,
             method=self.engine.pipeline.segmenter.name,
             extras=extras,

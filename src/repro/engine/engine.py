@@ -33,6 +33,7 @@ import numpy as np
 from ..backend.base import ArrayBackend
 from ..backend.registry import resolve_backend
 from ..base import BaseSegmenter, SegmentationResult
+from ..core.labels import count_segments
 from ..core.pipeline import PipelineResult, SegmentationPipeline
 from ..errors import ParameterError
 from ..parallel.executor import BaseExecutor, SerialExecutor
@@ -76,15 +77,6 @@ def _hook_accepts_backend(func) -> bool:
 def _segment_tile(segmenter: BaseSegmenter, block: np.ndarray) -> np.ndarray:
     # Module-level so tiled work stays picklable for process executors.
     return segmenter.segment(block).labels
-
-
-def _count_segments(labels: np.ndarray) -> int:
-    # Distinct-label count via bincount when labels are small non-negative
-    # ints (O(N), where np.unique would sort the whole image).
-    flat = labels.ravel()
-    if flat.size and int(flat.min()) >= 0 and int(flat.max()) < 65536:
-        return int(np.count_nonzero(np.bincount(flat)))
-    return int(np.unique(flat).size)
 
 
 def _run_item(engine: "BatchSegmentationEngine", return_errors: bool, item):
@@ -353,7 +345,7 @@ class BatchSegmentationEngine:
         extras["prepare_seconds"] = prepare_seconds
         return SegmentationResult(
             labels=labels,
-            num_segments=_count_segments(labels),
+            num_segments=count_segments(labels),
             runtime_seconds=elapsed,
             method=self.pipeline.segmenter.name,
             extras=extras,

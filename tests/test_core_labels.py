@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.labels import (
     binarize_by_overlap,
@@ -92,3 +95,53 @@ def test_binarize_largest_background():
 def test_binarize_by_overlap_perfect_prediction_is_identity(rng):
     gt = (rng.random((10, 10)) > 0.6).astype(np.int64)
     assert np.array_equal(binarize_by_overlap(gt, gt), gt)
+
+
+def _binarize_reference(pred, gt, void):
+    """The per-label loop the bincount route must reproduce."""
+    valid = np.ones(pred.shape, dtype=bool) if void is None else ~void
+    out = np.zeros_like(pred)
+    for label in np.unique(pred):
+        segment = pred == label
+        scoped = segment & valid
+        if not scoped.any():
+            scoped = segment
+        foreground = int((gt[scoped] != 0).sum())
+        out[segment] = 1 if foreground > int(scoped.sum()) - foreground else 0
+    return out
+
+
+@st.composite
+def _scored_maps(draw):
+    shape = draw(st.tuples(st.integers(1, 12), st.integers(1, 12)))
+    low = draw(st.sampled_from((0, -3)))  # negative labels take the loop
+    pred = draw(hnp.arrays(np.int64, shape, elements=st.integers(low, 6)))
+    gt = draw(hnp.arrays(np.uint8, shape, elements=st.integers(0, 1)))
+    void = draw(st.none() | hnp.arrays(np.bool_, shape))
+    return pred, gt, void
+
+
+@given(maps=_scored_maps())
+@example(  # segment 2 lives entirely in the void band
+    maps=(
+        np.array([[1, 1, 2], [1, 1, 2]]),
+        np.array([[0, 1, 1], [1, 1, 1]], dtype=np.uint8),
+        np.array([[False, False, True], [False, False, True]]),
+    )
+)
+@example(  # a 2-2 vote tie goes to background
+    maps=(np.array([[4, 4], [4, 4]]), np.array([[1, 0], [0, 1]], dtype=np.uint8), None)
+)
+@example(maps=(np.full((3, 5), 3), np.ones((3, 5), dtype=np.uint8), None))  # one label
+@settings(max_examples=150, deadline=None)
+def test_binarize_by_overlap_equals_the_per_label_loop(maps):
+    pred, gt, void = maps
+    out = binarize_by_overlap(pred, gt, void)
+    assert out.dtype == np.int64
+    assert np.array_equal(out, _binarize_reference(pred, gt, void))
+
+
+def test_count_segments_handles_negative_and_large_labels():
+    assert count_segments(np.array([[-2, 0], [0, 7]])) == 3
+    assert count_segments(np.array([[0, 1 << 20], [1 << 20, 5]])) == 3
+    assert count_segments(np.zeros((4, 4), dtype=np.int64)) == 1

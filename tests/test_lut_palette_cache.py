@@ -1,10 +1,15 @@
-"""Tests for the cross-image RGB palette cache in ``repro.core.lut``."""
+"""Tests for the RGB channel-table cache in ``repro.core.lut``.
+
+The palette path labels colours through three per-channel ``(256, 8)``
+tables cached per ``(θ triple, normalize, max_value, dtype)``; the palette
+itself is never cached, so any two images with equal parameters share one
+entry whatever their colours.
+"""
 
 import numpy as np
 import pytest
 
 from repro.core.lut import (
-    MAX_CACHED_PALETTE_COLORS,
     clear_lut_cache,
     lut_cache_info,
     pack_rgb_codes,
@@ -41,6 +46,11 @@ def test_identical_palettes_across_images_hit_the_cache(rng):
     assert segmenter.labels_from_lut(second) is not None
     after_second = lut_cache_info().palette
     assert (after_second.misses, after_second.hits) == (1, 1)
+    # the tables do not depend on the palette: a new colour set hits too
+    other = _palette_image(rng, (rng.random((7, 3)) * 255).astype(np.uint8))
+    assert IQFTSegmenter(thetas=np.pi).labels_from_lut(other) is not None
+    after_other = lut_cache_info().palette
+    assert (after_other.misses, after_other.hits) == (1, 2)
 
 
 def test_cached_palette_labels_match_matrix_path(rng):
@@ -52,7 +62,7 @@ def test_cached_palette_labels_match_matrix_path(rng):
         extras = {}
         fast = segmenter.labels_from_lut(image, extras=extras)
         assert fast is not None
-        assert extras["palette_cached"] is True
+        assert extras["palette_size"] == len(np.unique(image.reshape(-1, 3), axis=0))
         assert np.array_equal(fast, exact)
     assert lut_cache_info().palette.hits == 1
 
@@ -70,9 +80,10 @@ def test_cache_key_separates_thetas_normalize_and_dtype(rng):
     assert not np.array_equal(a, b)  # distinct entries really differ
 
 
-def test_oversized_palettes_bypass_the_cache_but_stay_exact():
-    # more distinct colours than the cache cap: one row per packed code
-    codes = np.arange(MAX_CACHED_PALETTE_COLORS + 1, dtype=np.int64)
+def test_large_palettes_stay_exact():
+    # more distinct colours than any one image of the benchmark sets: one
+    # pixel per packed code, all labelled through one cached table entry
+    codes = np.arange(70000, dtype=np.int64)
     rows = np.stack(
         ((codes >> 16) & 0xFF, (codes >> 8) & 0xFF, codes & 0xFF), axis=1
     ).astype(np.uint8)
@@ -81,11 +92,10 @@ def test_oversized_palettes_bypass_the_cache_but_stay_exact():
     extras = {}
     labels = segmenter.labels_from_lut(image, extras=extras)
     assert labels is not None
-    assert extras["palette_cached"] is False
-    assert lut_cache_info().palette.currsize == 0  # nothing was retained
-    # spot-check exactness on a small slice against the matrix path
-    sample = image[:64]
-    assert np.array_equal(labels[:64], segmenter.segment(sample).labels)
+    assert extras["palette_size"] == codes.size
+    assert "palette_cached" not in extras
+    assert lut_cache_info().palette.currsize == 1  # the tables, not the palette
+    assert np.array_equal(labels, segmenter.segment(image).labels)
 
 
 def test_rgb_palette_label_lut_direct_api(rng):
