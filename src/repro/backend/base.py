@@ -145,7 +145,8 @@ class ArrayBackend(abc.ABC):
             Smallest image (in pixels) for which the device gather beats the
             host gather once transfers are counted.  Below it the engine
             applies LUTs with plain NumPy even when this backend is active,
-            so tiny images never pay a device round-trip.
+            so tiny images never pay a device round-trip; the classifier
+            also never hands this backend a smaller float-kernel chunk.
         ``tile_pixels_scale``
             Multiplier on the engine's auto-tiling threshold.  Accelerators
             amortize launch overhead over big batches, so they prefer larger

@@ -41,7 +41,9 @@ SeedLike = Union[None, int, np.random.Generator]
 #: for the default, which stays in L2 on commodity hardware.  Measured on a
 #: 2-vCPU VM (94k palette rows / 512x512 matrix path): 2048 43-57 / 130-170 ms,
 #: 4096 48-60 / 155-187 ms, 8192 49-60 / 162-188 ms, 65536 88-92 / 262 ms;
-#: 4096 also keeps the separable palette kernel near its best.
+#: 4096 also keeps the separable palette kernel near its best.  A classifier
+#: running on an accelerator backend never goes below that backend's
+#: ``gather_min_pixels`` cost hint, since each chunk is a device round trip.
 DEFAULT_CHUNK_PIXELS = 4096
 
 #: Complex dtype used by the IQFT kernels.

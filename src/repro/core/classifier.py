@@ -116,7 +116,12 @@ class IQFTClassifier:
             if self._chunk_size < 1:
                 raise ParameterError("chunk_size must be positive")
             return int(self._chunk_size)
-        return int(get_config().chunk_pixels)
+        chunk = int(get_config().chunk_pixels)
+        if self._backend is not None:
+            # Each chunk is one host/device round trip on an accelerator: keep
+            # it no smaller than the size the backend says a transfer pays at.
+            chunk = max(chunk, int(self._backend.cost_hints().get("gather_min_pixels", 0)))
+        return chunk
 
     @staticmethod
     def _as_batch(phases: np.ndarray, num_qubits: int) -> np.ndarray:

@@ -116,12 +116,15 @@ def binarize_by_overlap(
             raise MetricError("void mask shape does not match the prediction")
         valid &= ~void
 
+    index = pred
     size = _bincount_size(pred)
     if not size:
-        return _binarize_by_overlap_loop(pred, gt_binary, valid)
+        # Negative or very large labels: vote on their ranks instead.
+        index = np.unique(pred, return_inverse=True)[1].reshape(pred.shape)
+        size = int(index.max(initial=-1)) + 1
     # Votes per (segment, class) as one bincount over segment*2 + class:
     # column 0 counts background pixels, column 1 foreground.
-    codes = pred * 2 + gt_binary
+    codes = index * 2 + gt_binary
     votes = np.bincount(codes[valid], minlength=2 * size).reshape(size, 2)
     void_only = votes.sum(axis=1) == 0
     if void_only.any():
@@ -131,26 +134,7 @@ def binarize_by_overlap(
         unscoped = np.bincount(codes[~valid], minlength=2 * size).reshape(size, 2)
         votes[void_only] = unscoped[void_only]
     decision = (votes[:, 1] > votes[:, 0]).astype(np.int64)
-    return decision[pred]
-
-
-def _binarize_by_overlap_loop(
-    pred: np.ndarray, gt_binary: np.ndarray, valid: np.ndarray
-) -> np.ndarray:
-    # Per-label masks: the general route for label maps bincount cannot
-    # index (negative or very large labels).
-    out = np.zeros_like(pred)
-    for label in np.unique(pred):
-        segment = pred == label
-        scoped = segment & valid
-        if not scoped.any():
-            # A segment living entirely inside the void band: fall back to the
-            # unscoped majority so the pixel still gets a sensible class.
-            scoped = segment
-        foreground_votes = int(gt_binary[scoped].sum())
-        background_votes = int(scoped.sum()) - foreground_votes
-        out[segment] = 1 if foreground_votes > background_votes else 0
-    return out
+    return decision[index]
 
 
 def binarize_largest_background(predicted: np.ndarray) -> np.ndarray:

@@ -44,6 +44,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..backend.base import ArrayBackend
+from ..config import get_config
 from ..errors import ParameterError
 
 __all__ = [
@@ -51,7 +52,6 @@ __all__ = [
     "grayscale_label_lut",
     "grayscale_probability_lut",
     "rgb_palette_label_lut",
-    "palette_labels",
     "lut_eligible",
     "apply_lut",
     "unique_codes",
@@ -251,7 +251,7 @@ def _rgb_channel_tables(
     normalize: bool,
     max_value: float,
     dtype_str: str,
-) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> Tuple[np.ndarray, Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     # Local import: the RGB segmenter imports this module for its hook.
     from .rgb_segmenter import IQFTSegmenter
 
@@ -259,14 +259,17 @@ def _rgb_channel_tables(
     dtype = np.dtype(dtype_str)
     # A 0..255 ramp in all three channels, in the image's raw dtype, goes
     # through the segmenter's own normalization and phase encoding, so every
-    # table phase is bit-equal to the one the matrix path computes for that
+    # ramp phase is bit-equal to the one the matrix path computes for that
     # raw value.  Levels the dtype cannot hold (int8 past 127) repeat its
     # maximum; no image of that dtype indexes those rows.
-    top = min(DEFAULT_NUM_LEVELS - 1, int(np.iinfo(dtype).max))
+    top = DEFAULT_NUM_LEVELS - 1
+    if np.issubdtype(dtype, np.integer):
+        top = min(top, int(np.iinfo(dtype).max))
     ramp = np.minimum(np.arange(DEFAULT_NUM_LEVELS), top).astype(dtype)
     phases = segmenter._phases(np.repeat(ramp, 3).reshape(-1, 1, 3)).reshape(-1, 3)
+    phases.flags.writeable = False
     if float(np.abs(phases).max()) > _MAX_TABLE_PHASE:
-        return None
+        return phases, None
     num_qubits = phases.shape[1]
     dim = 2**num_qubits
     classes = np.arange(dim)
@@ -279,7 +282,31 @@ def _rgb_channel_tables(
         tables.append(table)
     # Phases run most significant qubit first, (α, β, γ) = (B, G, R); packed
     # codes run (R, G, B).
-    return tables[2], tables[1], tables[0]
+    return phases, (tables[2], tables[1], tables[0])
+
+
+def _channel_tables(segmenter, dtype: Union[str, np.dtype, type]):
+    """``(ramp phases, channel tables or None)`` for a segmenter and raw dtype."""
+    return _rgb_channel_tables(
+        segmenter.thetas, segmenter.normalize, segmenter.max_value, str(np.dtype(dtype))
+    )
+
+
+def _colour_phases(ramp_phases: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """The ``(U, 3)`` phases of packed colours, gathered from the ramp's.
+
+    Each entry is the matrix path's phase for that channel value, bit for
+    bit, with the image's normalization branch rather than one re-decided
+    from the gathered subset.
+    """
+    return np.stack(
+        (
+            ramp_phases[codes & 0xFF, 0],
+            ramp_phases[(codes >> 8) & 0xFF, 1],
+            ramp_phases[codes >> 16, 2],
+        ),
+        axis=1,
+    )
 
 
 def _separable_labels(
@@ -313,15 +340,7 @@ def _separable_labels(
     return labels, certified
 
 
-def _exact_colour_labels(segmenter, codes: np.ndarray, dtype: np.dtype) -> np.ndarray:
-    # Rebuild the colour rows in the raw dtype so they take the exact same
-    # normalization branch as the full image would.
-    colors = unpack_rgb_codes(codes).astype(dtype).reshape(-1, 1, 3)
-    phases = segmenter._phases(colors).reshape(-1, segmenter._classifier.num_qubits)
-    return segmenter._classifier.classify(phases)
-
-
-def palette_labels(
+def _palette_labels(
     segmenter, palette: np.ndarray, dtype: Union[str, np.dtype, type]
 ) -> Optional[Tuple[np.ndarray, int]]:
     """Exact labels of packed colours for an :class:`~repro.core.IQFTSegmenter`.
@@ -329,23 +348,20 @@ def palette_labels(
     Returns ``(labels, colours_deferred)``: every colour costs three table
     gathers, two multiplies and an argmax, and the few colours whose top two
     probabilities lie within the certificate's margin go through the
-    segmenter's exact classifier.  ``dtype`` is the raw storage dtype of the
-    source image.  Returns ``None`` when a table phase exceeds the guard (the
-    caller runs the matrix path instead).
+    segmenter's exact classifier on their ramp-gathered phases.  ``dtype`` is
+    the raw storage dtype of the source image.  Returns ``None`` when a table
+    phase exceeds the guard (the caller runs the matrix path instead).
     """
-    dtype = np.dtype(dtype)
-    tables = _rgb_channel_tables(
-        segmenter.thetas, segmenter.normalize, segmenter.max_value, str(dtype)
-    )
+    ramp_phases, tables = _channel_tables(segmenter, dtype)
     if tables is None:
         return None
     codes = np.asarray(palette, dtype=np.int64).reshape(-1)
-    labels, certified = _separable_labels(
-        tables, codes, segmenter._classifier._effective_chunk()
-    )
+    labels, certified = _separable_labels(tables, codes, get_config().chunk_pixels)
     deferred = np.flatnonzero(~certified)
     if deferred.size:
-        labels[deferred] = _exact_colour_labels(segmenter, codes[deferred], dtype)
+        labels[deferred] = segmenter._classifier.classify(
+            _colour_phases(ramp_phases, codes[deferred])
+        )
     return labels, int(deferred.size)
 
 
@@ -361,10 +377,11 @@ def rgb_palette_label_lut(
     ``palette`` is a 1-D array of :func:`pack_rgb_codes` codes (the distinct
     colours of an image, in any order).  ``dtype`` must be the raw storage
     dtype of the source image: it selects the normalization branch (uint8
-    always divides by 255, wider integers divide by ``max_value``).  The
-    labels come from :func:`palette_labels` (the channel tables are cached,
-    the palette is not), or from the exact classifier over every colour when
-    the phase guard declines the tables.  The result is read-only.
+    always divides by 255, any other dtype by ``max_value``), whatever the
+    palette's own maximum.  The labels come from the separable kernel (the
+    channel tables are cached, the palette is not), or from the exact
+    classifier over every colour when the phase guard declines the tables.
+    The result is read-only.
     """
     from .rgb_segmenter import IQFTSegmenter
 
@@ -375,9 +392,10 @@ def rgb_palette_label_lut(
         raise ParameterError("palette must contain at least one colour code")
     if int(codes.min()) < 0 or int(codes.max()) >= (1 << 24):
         raise ParameterError("palette codes must be packed 24-bit values")
-    found = palette_labels(segmenter, codes, dtype)
+    found = _palette_labels(segmenter, codes, dtype)
     if found is None:
-        labels = _exact_colour_labels(segmenter, codes, np.dtype(dtype))
+        ramp_phases, _ = _channel_tables(segmenter, dtype)
+        labels = segmenter._classifier.classify(_colour_phases(ramp_phases, codes))
     else:
         labels = found[0]
     labels.flags.writeable = False

@@ -29,7 +29,7 @@ import numpy as np
 from ..base import BaseSegmenter
 from ..errors import ParameterError, ShapeError
 from .classifier import IQFTClassifier
-from .lut import apply_lut, lut_eligible, pack_rgb_codes, palette_labels, unique_codes
+from .lut import _palette_labels, apply_lut, lut_eligible, pack_rgb_codes, unique_codes
 from .phase_encoding import DEFAULT_THETA, normalize_pixels, pixel_phases
 
 __all__ = ["IQFTSegmenter"]
@@ -159,8 +159,8 @@ class IQFTSegmenter(BaseSegmenter):
         The 3-qubit rule is a pure function of the ``(R, G, B)`` triple, so an
         8-bit image only needs one classification per *distinct colour* (its
         palette) instead of one per pixel.  Colours are deduplicated on packed
-        24-bit codes, labelled by :func:`repro.core.lut.palette_labels`, and
-        scattered back.  A colour's label is the argmax of the factorised
+        24-bit codes, labelled by the separable kernel of :mod:`repro.core.lut`,
+        and scattered back.  A colour's label is the argmax of the factorised
         probabilities (module docstring), three per-channel factors read from
         256-entry tables.  It is certified when the top probability beats the
         runner-up by more than 1e-9, far above the ~1e-15 the closed form and
@@ -184,7 +184,7 @@ class IQFTSegmenter(BaseSegmenter):
             return None
         codes = pack_rgb_codes(arr)
         palette, inverse = unique_codes(codes, backend=backend)
-        found = palette_labels(self, palette, arr.dtype)
+        found = _palette_labels(self, palette, arr.dtype)
         if found is None:
             return None
         labels, deferred = found

@@ -106,3 +106,26 @@ def test_probability_formula_matches_direct_evaluation(rng):
     f_vec = phase_vector(phases)
     direct = np.abs(clf.matrix @ f_vec / 8.0) ** 2
     assert np.allclose(clf.probabilities(phases), direct)
+
+
+def test_accelerator_chunks_stay_at_the_backend_transfer_size(rng):
+    from repro.backend.numpy_backend import NumpyBackend
+
+    calls = []
+
+    class Counting(NumpyBackend):  # a backend whose transfers pay from 65536 px
+        def cost_hints(self):
+            return {"gather_min_pixels": 65536.0, "tile_pixels_scale": 8.0}
+
+        def phase_amplitudes(self, phases, bits, matrix):
+            calls.append(phases.shape[0])
+            return super().phase_amplitudes(phases, bits, matrix)
+
+    phases = rng.uniform(0, 2 * np.pi, size=(70000, 3))
+    labels = IQFTClassifier(3, backend=Counting()).classify(phases)
+    assert calls == [65536, 70000 - 65536]
+    assert np.array_equal(labels, IQFTClassifier(3).classify(phases))
+    # an explicit chunk size is still honoured
+    calls.clear()
+    IQFTClassifier(3, chunk_size=50000, backend=Counting()).classify(phases)
+    assert calls == [50000, 20000]

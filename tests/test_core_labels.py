@@ -114,8 +114,9 @@ def _binarize_reference(pred, gt, void):
 @st.composite
 def _scored_maps(draw):
     shape = draw(st.tuples(st.integers(1, 12), st.integers(1, 12)))
-    low = draw(st.sampled_from((0, -3)))  # negative labels take the loop
+    low = draw(st.sampled_from((0, -3)))  # negative labels vote on their ranks
     pred = draw(hnp.arrays(np.int64, shape, elements=st.integers(low, 6)))
+    pred = pred << draw(st.sampled_from((0, 20)))  # so do very large ones
     gt = draw(hnp.arrays(np.uint8, shape, elements=st.integers(0, 1)))
     void = draw(st.none() | hnp.arrays(np.bool_, shape))
     return pred, gt, void

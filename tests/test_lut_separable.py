@@ -17,10 +17,10 @@ from hypothesis.extra import numpy as hnp
 
 from repro import BatchSegmentationEngine, IQFTSegmenter
 from repro.core.lut import (
+    _palette_labels,
     clear_lut_cache,
     lut_eligible,
     pack_rgb_codes,
-    palette_labels,
     rgb_palette_label_lut,
     unpack_rgb_codes,
 )
@@ -70,6 +70,28 @@ def test_a_tied_colour_is_deferred_to_the_exact_classifier():
     assert fast[0, 0] == 1
 
 
+def test_a_deferred_colour_keeps_the_image_normalization():
+    # uint16 divides by max_value whenever the image's maximum exceeds 1.  The
+    # deferred colour (0, 0, 1) alone has maximum 1, so re-normalizing it on
+    # its own would take the "already normalized" branch and a phase 255x
+    # too large; its phases must come from the image-level ramp instead.
+    image = np.array([[[0, 0, 1], [200, 100, 50]]], dtype=np.uint16)
+    segmenter = IQFTSegmenter(thetas=200 * np.pi)
+    extras = {}
+    fast = segmenter.labels_from_lut(image, extras=extras)
+    assert extras["colours_deferred"] == 1
+    assert np.array_equal(fast, segmenter.segment(image).labels)
+
+
+def test_palette_api_labels_float_storage_like_the_matrix_path(rng):
+    image = rng.integers(0, 256, size=(6, 7, 3)).astype(np.float64)
+    image[0, 0] = 255.0  # the float image's maximum exceeds 1: divide by max_value
+    palette, inverse = np.unique(pack_rgb_codes(image), return_inverse=True)
+    labels = rgb_palette_label_lut((1.0, 2.5, 4.0), palette, dtype=np.float64)
+    exact = IQFTSegmenter(thetas=(1.0, 2.5, 4.0)).segment(image).labels
+    assert np.array_equal(labels[inverse].reshape(exact.shape), exact)
+
+
 @pytest.mark.parametrize("thetas, normalize", [(5000.0, True), (20.0, False)])
 def test_phases_past_the_guard_take_the_matrix_path(rng, thetas, normalize):
     image = (rng.random((9, 11, 3)) * 255).astype(np.uint8)
@@ -93,7 +115,7 @@ def test_every_uint8_colour_matches_the_matrix_path_at_pi():
     deferred = 0
     for start in range(0, 1 << 24, slab):
         codes = np.arange(start, start + slab, dtype=np.int64)
-        labels, slab_deferred = palette_labels(segmenter, codes, np.uint8)
+        labels, slab_deferred = _palette_labels(segmenter, codes, np.uint8)
         image = unpack_rgb_codes(codes).astype(np.uint8).reshape(-1, 1, 3)
         assert np.array_equal(labels, segmenter.segment(image).labels.reshape(-1))
         deferred += slab_deferred
